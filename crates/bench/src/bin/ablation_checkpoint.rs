@@ -5,31 +5,17 @@
 //! in the event of a failure." This sweep quantifies the trade-off: more
 //! frequent checkpoints cost upload stalls during healthy training but
 //! bound the work a learner crash destroys.
-//!
-//! Usage: `cargo run -p dlaas-bench --bin ablation_checkpoint [seed]`
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use dlaas_bench::harness::{experiment_platform, print_table, BENCH_KEY};
-use dlaas_core::{paths, JobId, JobStatus, TrainingManifest};
+use dlaas_bench::flags::Args;
+use dlaas_bench::harness::{print_table, submit_one, Rig};
+use dlaas_core::{paths, JobStatus, TrainingManifest};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
-use dlaas_sim::{Sim, SimDuration};
+use dlaas_sim::SimDuration;
 
-struct Outcome {
-    interval: u64,
-    completed: bool,
-    wall_secs: f64,
-    lost_iters: u64,
-    restarts: u64,
-    ckpt_writes: u64,
-    stall_p95: Option<f64>,
-}
-
-fn run_one(seed: u64, interval: u64) -> Outcome {
-    let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
-    let platform = experiment_platform(&mut sim, GpuKind::K80, 1);
+/// One table row: the job crashed mid-run with checkpoints every `interval`
+/// iterations (0 = none).
+fn run_one(seed: u64, interval: u64) -> Vec<String> {
+    let (mut sim, platform) = Rig::bench(GpuKind::K80, 1).boot(seed);
     let manifest = TrainingManifest::builder(format!("ckpt-{interval}"))
         .framework(Framework::TensorFlow)
         .model(DlModel::Resnet50)
@@ -41,14 +27,7 @@ fn run_one(seed: u64, interval: u64) -> Outcome {
         .build()
         .expect("valid manifest");
 
-    let client = platform.client("bench", BENCH_KEY);
-    let got: Rc<RefCell<Option<JobId>>> = Rc::new(RefCell::new(None));
-    let g = got.clone();
-    client.submit(&mut sim, manifest, move |_s, r| {
-        *g.borrow_mut() = Some(r.expect("accepted"));
-    });
-    sim.run_until_pred(|_| got.borrow().is_some());
-    let job = got.borrow().clone().unwrap();
+    let job = submit_one(&mut sim, &platform, manifest);
     let t0 = sim.now();
 
     platform.wait_for_status(
@@ -77,45 +56,36 @@ fn run_one(seed: u64, interval: u64) -> Outcome {
     );
     let info = platform.job_info(&job).unwrap();
     let m = platform.metrics();
-    Outcome {
-        interval,
-        completed: end == Some(JobStatus::Completed),
-        wall_secs: (sim.now() - t0).as_secs_f64(),
-        lost_iters: progress_at_crash.saturating_sub(ckpt_iter),
-        restarts: info.learner_restarts,
-        ckpt_writes: m.counter_total(dlaas_core::metrics::CHECKPOINT_WRITES),
-        stall_p95: m.quantile(dlaas_core::metrics::CHECKPOINT_STALL_SECONDS, &[], 0.95),
-    }
+    vec![
+        if interval == 0 {
+            "none".to_owned()
+        } else {
+            interval.to_string()
+        },
+        if end == Some(JobStatus::Completed) {
+            "COMPLETED"
+        } else {
+            "DNF"
+        }
+        .to_owned(),
+        format!("{:.0}s", (sim.now() - t0).as_secs_f64()),
+        progress_at_crash.saturating_sub(ckpt_iter).to_string(),
+        info.learner_restarts.to_string(),
+        m.counter_total(dlaas_core::metrics::CHECKPOINT_WRITES)
+            .to_string(),
+        m.quantile(dlaas_core::metrics::CHECKPOINT_STALL_SECONDS, &[], 0.95)
+            .map(|s| format!("{s:.1}s"))
+            .unwrap_or_else(|| "n/a".into()),
+    ]
 }
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2018);
+    let mut args = Args::from_env(&[]);
+    let seed: u64 = args.pos("seed", 2018);
+    args.done("usage: ablation_checkpoint [seed]\n  default: seed 2018");
     let intervals = [0u64, 100, 250, 500, 1000, 2000];
     eprintln!("sweeping checkpoint intervals with a learner crash mid-run (seed {seed})…");
-    let rows: Vec<Vec<String>> = intervals
-        .iter()
-        .map(|i| {
-            let o = run_one(seed, *i);
-            vec![
-                if o.interval == 0 {
-                    "none".to_owned()
-                } else {
-                    o.interval.to_string()
-                },
-                if o.completed { "COMPLETED" } else { "DNF" }.to_owned(),
-                format!("{:.0}s", o.wall_secs),
-                o.lost_iters.to_string(),
-                o.restarts.to_string(),
-                o.ckpt_writes.to_string(),
-                o.stall_p95
-                    .map(|s| format!("{s:.1}s"))
-                    .unwrap_or_else(|| "n/a".into()),
-            ]
-        })
-        .collect();
+    let rows: Vec<Vec<String>> = intervals.iter().map(|i| run_one(seed, *i)).collect();
     print_table(
         "Ablation — checkpoint interval vs work lost to a learner crash (4000 iters)",
         &[

@@ -2,21 +2,18 @@
 //! come from? With run-to-run jitter switched off, the measured overhead
 //! decomposes exactly into containerization (fixed ~0.8%) plus the
 //! helper-interference (CPU-steal) term, which this sweep varies.
-//!
-//! Usage: `cargo run --release -p dlaas-bench --bin ablation_overhead [seed]`
 
+use dlaas_bench::flags::Args;
 use dlaas_bench::harness::{
-    bare_metal_images_per_sec, measure_dlaas_throughput_with, pct_diff, print_table,
-    throughput_manifest,
+    bare_metal_images_per_sec, measure_dlaas_throughput, pct_diff, print_table, throughput_manifest,
 };
 use dlaas_core::CoreConfig;
 use dlaas_gpu::{DlModel, ExecEnv, Framework, GpuKind};
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2018);
+    let mut args = Args::from_env(&[]);
+    let seed: u64 = args.pos("seed", 2018);
+    args.done("usage: ablation_overhead [seed]\n  default: seed 2018");
     eprintln!("sweeping helper interference with jitter off (seed {seed})…");
 
     let bare = bare_metal_images_per_sec(
@@ -44,7 +41,7 @@ fn main() {
                 1,
                 300,
             );
-            let run = measure_dlaas_throughput_with(seed, manifest, cfg);
+            let run = measure_dlaas_throughput(seed, manifest, cfg);
             let dlaas = run.images_per_sec.expect("job completes");
             let measured = pct_diff(bare, dlaas);
             let predicted = (1.0 - dlaas_gpu::CONTAINER_FACTOR * (1.0 - steal)) * 100.0;

@@ -5,54 +5,23 @@
 //! This sweep injects two Guardian crashes during deployment and varies
 //! the limit: limits ≤ 2 burn out and fail the job; limits ≥ 3 ride the
 //! faults out and complete it.
-//!
-//! Usage: `cargo run -p dlaas-bench --bin ablation_retry [seed]`
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use dlaas_bench::harness::print_table;
-use dlaas_bench::harness::BENCH_KEY;
-use dlaas_core::{
-    paths, CoreConfig, DlaasPlatform, GpuNodeSpec, JobId, JobStatus, PlatformConfig, Tenant,
-    TrainingManifest,
-};
+use dlaas_bench::flags::Args;
+use dlaas_bench::harness::{print_table, submit_one, Rig};
+use dlaas_core::{paths, CoreConfig, JobStatus, TrainingManifest};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_kube::PodPhase;
-use dlaas_sim::{Sim, SimDuration};
+use dlaas_sim::SimDuration;
 
-struct Outcome {
-    limit: u32,
-    crashes_injected: u32,
-    status: JobStatus,
-    attempts: u64,
-    rollbacks: u64,
-    gave_up: bool,
-    wall_secs: f64,
-}
-
-fn run_one(seed: u64, limit: u32, crashes: u32) -> Outcome {
-    let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
-    let cfg = PlatformConfig {
-        core: CoreConfig {
-            deploy_max_attempts: limit,
-            ..CoreConfig::default()
-        },
-        gpu_nodes: vec![GpuNodeSpec {
-            kind: GpuKind::K80,
-            count: 2,
-            gpus_each: 1,
-        }],
-        ..PlatformConfig::default()
+/// One table row: `crashes` Guardian crashes during deployment against a
+/// retry limit of `limit`.
+fn run_one(seed: u64, limit: u32, crashes: u32) -> Vec<String> {
+    let mut rig = Rig::bench(GpuKind::K80, 1);
+    rig.cluster.core = CoreConfig {
+        deploy_max_attempts: limit,
+        ..CoreConfig::default()
     };
-    let platform = DlaasPlatform::new(&mut sim, cfg);
-    platform.run_until_ready(&mut sim, SimDuration::from_secs(60));
-    platform
-        .add_tenant(&Tenant::new("bench", BENCH_KEY, 0))
-        .expect("bootstrap tenant insert");
-    platform.seed_dataset("bench-data", "d/", 2_000_000_000);
-    platform.create_bucket("bench-results");
+    let (mut sim, platform) = rig.boot(seed);
 
     let manifest = TrainingManifest::builder(format!("retry-{limit}"))
         .framework(Framework::TensorFlow)
@@ -63,14 +32,7 @@ fn run_one(seed: u64, limit: u32, crashes: u32) -> Outcome {
         .iterations(500)
         .build()
         .expect("valid manifest");
-    let client = platform.client("bench", BENCH_KEY);
-    let got: Rc<RefCell<Option<JobId>>> = Rc::new(RefCell::new(None));
-    let g = got.clone();
-    client.submit(&mut sim, manifest, move |_s, r| {
-        *g.borrow_mut() = Some(r.expect("accepted"));
-    });
-    sim.run_until_pred(|_| got.borrow().is_some());
-    let job = got.borrow().clone().unwrap();
+    let job = submit_one(&mut sim, &platform, manifest);
     let t0 = sim.now();
     let gpod = paths::guardian_job(&job);
 
@@ -105,39 +67,30 @@ fn run_one(seed: u64, limit: u32, crashes: u32) -> Outcome {
         .unwrap_or(JobStatus::Failed);
     // The attempt/rollback story comes from the platform's own metrics.
     let m = platform.metrics();
-    Outcome {
-        limit,
-        crashes_injected: injected,
-        status: end,
-        attempts: m.counter_total(dlaas_core::metrics::GUARDIAN_DEPLOY_ATTEMPTS),
-        rollbacks: m.counter_total(dlaas_core::metrics::GUARDIAN_ROLLBACKS),
-        gave_up: m.counter_total(dlaas_core::metrics::GUARDIAN_GAVE_UP) > 0,
-        wall_secs: (sim.now() - t0).as_secs_f64(),
-    }
+    let gave_up = m.counter_total(dlaas_core::metrics::GUARDIAN_GAVE_UP) > 0;
+    vec![
+        limit.to_string(),
+        injected.to_string(),
+        end.to_string(),
+        m.counter_total(dlaas_core::metrics::GUARDIAN_DEPLOY_ATTEMPTS)
+            .to_string(),
+        m.counter_total(dlaas_core::metrics::GUARDIAN_ROLLBACKS)
+            .to_string(),
+        if gave_up { "yes" } else { "no" }.to_owned(),
+        format!("{:.0}s", (sim.now() - t0).as_secs_f64()),
+    ]
 }
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2018);
+    let mut args = Args::from_env(&[]);
+    let seed: u64 = args.pos("seed", 2018);
+    args.done("usage: ablation_retry [seed]\n  default: seed 2018");
     eprintln!(
         "injecting 2 guardian crashes during deploy; sweeping the retry limit (seed {seed})…"
     );
     let rows: Vec<Vec<String>> = [1u32, 2, 3, 5]
         .iter()
-        .map(|limit| {
-            let o = run_one(seed, *limit, 2);
-            vec![
-                o.limit.to_string(),
-                o.crashes_injected.to_string(),
-                o.status.to_string(),
-                o.attempts.to_string(),
-                o.rollbacks.to_string(),
-                if o.gave_up { "yes" } else { "no" }.to_owned(),
-                format!("{:.0}s", o.wall_secs),
-            ]
-        })
+        .map(|limit| run_one(seed, *limit, 2))
         .collect();
     print_table(
         "Ablation — Guardian deploy-retry limit under 2 injected deploy crashes",

@@ -9,28 +9,16 @@
 //! * 2 replicas down — no quorum: status updates stall for the outage
 //!   (the paper's design accepts this: consistency over availability),
 //!   but nothing is lost and the job still completes after recovery.
-//!
-//! Usage: `cargo run -p dlaas-bench --bin ablation_status_path [seed]`
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use dlaas_bench::harness::{experiment_platform, print_table, BENCH_KEY};
-use dlaas_core::{JobId, JobStatus, TrainingManifest};
+use dlaas_bench::flags::Args;
+use dlaas_bench::harness::{print_table, submit_one, Rig};
+use dlaas_core::{JobStatus, TrainingManifest};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
-use dlaas_sim::{Sim, SimDuration};
+use dlaas_sim::SimDuration;
 
-struct Outcome {
-    crashed: u32,
-    completed: bool,
-    wall_secs: f64,
-    max_staleness_secs: f64,
-}
-
-fn run_one(seed: u64, crash_nodes: u32) -> Outcome {
-    let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
-    let platform = experiment_platform(&mut sim, GpuKind::K80, 1);
+/// One table row: `crash_nodes` etcd replicas down for 60s mid-training.
+fn run_one(seed: u64, crash_nodes: u32) -> Vec<String> {
+    let (mut sim, platform) = Rig::bench(GpuKind::K80, 1).boot(seed);
     let manifest = TrainingManifest::builder(format!("etcd-ablation-{crash_nodes}"))
         .framework(Framework::TensorFlow)
         .model(DlModel::Resnet50)
@@ -41,14 +29,7 @@ fn run_one(seed: u64, crash_nodes: u32) -> Outcome {
         .build()
         .expect("valid manifest");
 
-    let client = platform.client("bench", BENCH_KEY);
-    let got: Rc<RefCell<Option<JobId>>> = Rc::new(RefCell::new(None));
-    let g = got.clone();
-    client.submit(&mut sim, manifest, move |_s, r| {
-        *g.borrow_mut() = Some(r.expect("accepted"));
-    });
-    sim.run_until_pred(|_| got.borrow().is_some());
-    let job = got.borrow().clone().unwrap();
+    let job = submit_one(&mut sim, &platform, manifest);
     let t0 = sim.now();
     platform.wait_for_status(
         &mut sim,
@@ -99,32 +80,25 @@ fn run_one(seed: u64, crash_nodes: u32) -> Outcome {
         JobStatus::Completed,
         SimDuration::from_hours(12),
     );
-    Outcome {
-        crashed: crash_nodes,
-        completed: end == Some(JobStatus::Completed),
-        wall_secs: (sim.now() - t0).as_secs_f64(),
-        max_staleness_secs: max_staleness,
-    }
+    vec![
+        format!("{crash_nodes}/3"),
+        if end == Some(JobStatus::Completed) {
+            "COMPLETED"
+        } else {
+            "DNF"
+        }
+        .to_owned(),
+        format!("{max_staleness:.0}s"),
+        format!("{:.0}s", (sim.now() - t0).as_secs_f64()),
+    ]
 }
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2018);
+    let mut args = Args::from_env(&[]);
+    let seed: u64 = args.pos("seed", 2018);
+    args.done("usage: ablation_status_path [seed]\n  default: seed 2018");
     eprintln!("crashing 0/1/2 etcd replicas for 60s mid-training (seed {seed})…");
-    let rows: Vec<Vec<String>> = [0u32, 1, 2]
-        .iter()
-        .map(|n| {
-            let o = run_one(seed, *n);
-            vec![
-                format!("{}/3", o.crashed),
-                if o.completed { "COMPLETED" } else { "DNF" }.to_owned(),
-                format!("{:.0}s", o.max_staleness_secs),
-                format!("{:.0}s", o.wall_secs),
-            ]
-        })
-        .collect();
+    let rows: Vec<Vec<String>> = [0u32, 1, 2].iter().map(|n| run_one(seed, *n)).collect();
     print_table(
         "Ablation — etcd replicas crashed (60s outage) vs status-path behaviour",
         &[

@@ -1,86 +1,41 @@
 //! Engine throughput bench: emits `BENCH_engine.json` with kernel events
-//! per wall-second for a pure-kernel churn workload and the full-platform
-//! `scale_soak`-shaped N-job soak. See `dlaas_bench::engine` for the
-//! workload definitions and the artifact's (wall-derived, not
-//! byte-stable) nature.
+//! per wall-second for the pure-kernel churn workload (10,000 actors,
+//! 2,000,000 events) and the soak driver's `scale` profile at N=10,000
+//! (`platform_soak_n10000`). See `dlaas_bench::engine` for the
+//! artifact's (wall-derived, not byte-stable) nature.
 //!
-//! Usage:
-//!   cargo run --release -p dlaas-bench --bin engine_bench -- \
-//!     [--seed S] [--n N] [--actors A] [--events E] [--out PATH] \
-//!     [--skip-platform] [--check BASELINE.json] [--tolerance F]
-//!
-//! Defaults: seed 2018, N=10000 platform jobs, 10000 churn actors,
-//! 2,000,000 churn events, out `BENCH_engine.json`, tolerance 0.10.
 //! With `--check`, exits non-zero if any workload's events/wall-sec falls
 //! more than the tolerance below the committed baseline.
 
-use dlaas_bench::engine::{self, EngineRun};
+use dlaas_bench::artifact::{check_against_baseline, workloads_json};
+use dlaas_bench::engine;
+use dlaas_bench::flags::Args;
 use dlaas_bench::harness::print_table;
+use dlaas_bench::soak::{self, Profile};
 
-struct Args {
-    seed: u64,
-    n: u64,
-    actors: u64,
-    events: u64,
-    out: String,
-    skip_platform: bool,
-    check: Option<String>,
-    tolerance: f64,
-}
+const USAGE: &str = "\
+usage: engine_bench [--seed S] [--out PATH] [--check BASELINE.json] [--tolerance F]
+  defaults: seed 2018, out BENCH_engine.json, tolerance 0.10";
 
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        seed: 2018,
-        n: 10_000,
-        actors: 10_000,
-        events: 2_000_000,
-        out: "BENCH_engine.json".into(),
-        skip_platform: false,
-        check: None,
-        tolerance: 0.10,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut next = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--seed" => parsed.seed = next("--seed").parse().expect("--seed u64"),
-            "--n" => parsed.n = next("--n").parse().expect("--n u64"),
-            "--actors" => parsed.actors = next("--actors").parse().expect("--actors u64"),
-            "--events" => parsed.events = next("--events").parse().expect("--events u64"),
-            "--out" => parsed.out = next("--out"),
-            "--skip-platform" => parsed.skip_platform = true,
-            "--check" => parsed.check = Some(next("--check")),
-            "--tolerance" => {
-                parsed.tolerance = next("--tolerance").parse().expect("--tolerance f64");
-            }
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    parsed
-}
+/// Platform jobs in the `scale` workload.
+const PLATFORM_JOBS: u64 = 10_000;
 
 fn main() {
-    let args = parse_args();
-    eprintln!(
-        "engine bench: kernel_churn ({} actors, {} events){} (seed {})…",
-        args.actors,
-        args.events,
-        if args.skip_platform {
-            String::new()
-        } else {
-            format!(" + platform_soak N={}", args.n)
-        },
-        args.seed
-    );
+    let mut args = Args::from_env(&["--seed", "--out", "--check", "--tolerance"]);
+    let seed: u64 = args.flag("--seed", 2018);
+    let out: String = args.flag("--out", "BENCH_engine.json".to_owned());
+    let check: Option<String> = args.opt("--check");
+    let tolerance: f64 = args.flag("--tolerance", 0.10);
+    args.done(USAGE);
 
-    let mut runs: Vec<EngineRun> = Vec::new();
-    runs.push(engine::kernel_churn(args.seed, args.actors, args.events));
-    if !args.skip_platform {
-        runs.push(engine::platform_soak(args.seed, args.n));
+    eprintln!("engine bench: kernel_churn + scale soak N={PLATFORM_JOBS} (seed {seed})…");
+    let churn = engine::kernel_churn(seed, 10_000, 2_000_000);
+    let platform = soak::run(Profile::Scale, seed, PLATFORM_JOBS, None).result;
+    if let Some(m) = platform.malformed() {
+        eprintln!("{m}");
+        std::process::exit(1);
     }
+    let runs = [churn, platform.engine_run()];
 
     let rows: Vec<Vec<String>> = runs
         .iter()
@@ -100,27 +55,17 @@ fn main() {
         &rows,
     );
 
-    let json = engine::render_json(args.seed, &runs);
-    std::fs::write(&args.out, &json).expect("write BENCH_engine.json");
-    println!("\nwrote {}", args.out);
+    let json = workloads_json("engine", seed, &runs);
+    std::fs::write(&out, &json).expect("write BENCH_engine.json");
+    println!("\nwrote {out}");
 
-    if let Some(baseline_path) = args.check {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-        match engine::check_against_baseline(&json, &baseline, args.tolerance) {
-            Ok(report) => {
-                for line in report {
-                    println!("{line}");
-                }
-            }
+    if let Some(path) = check {
+        let baseline = std::fs::read_to_string(&path).expect("read baseline");
+        match check_against_baseline(&[&json], &baseline, tolerance) {
+            Ok(report) => report.iter().for_each(|l| println!("{l}")),
             Err(violations) => {
-                for line in violations {
-                    eprintln!("{line}");
-                }
-                eprintln!(
-                    "engine bench regression vs {baseline_path} (tolerance {:.0}%)",
-                    args.tolerance * 100.0
-                );
+                violations.iter().for_each(|l| eprintln!("{l}"));
+                eprintln!("engine bench regression vs {path} (tolerance {tolerance})");
                 std::process::exit(1);
             }
         }

@@ -4,15 +4,15 @@
 //! distributed jobs. These are forward-looking outputs of the calibrated
 //! performance model (the paper's §I motivates exactly these trends:
 //! NVLink, InfiniBand, 100G Ethernet).
-//!
-//! Usage: `cargo run --release -p dlaas-bench --bin extended_predictions`
 
+use dlaas_bench::flags::Args;
 use dlaas_bench::harness::print_table;
 use dlaas_gpu::{
     images_per_sec, DlModel, ExecEnv, Framework, GpuKind, Interconnect, TrainingConfig,
 };
 
 fn main() {
+    Args::from_env(&[]).done("usage: extended_predictions");
     // 1. The Fig. 3 experiment projected onto V100s.
     let mut rows = Vec::new();
     for model in DlModel::all() {

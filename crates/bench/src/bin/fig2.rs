@@ -1,39 +1,24 @@
 //! Regenerates Figure 2: DLaaS vs IBM Cloud bare metal on K80s.
 //!
-//! Usage: `cargo run -p dlaas-bench --bin fig2 [seed] [iterations] [trials] [--threads T]`
-//!
 //! Each paper cell was a single measured run; `seed` plays the role of
 //! "which day the experiment ran" (it draws the per-run jitter). The
 //! (repetition, cell) trials shard across `--threads` workers; the table
 //! is byte-identical at any thread count.
 
 use dlaas_bench::fig2;
+use dlaas_bench::flags::Args;
 use dlaas_bench::harness::print_table;
 
+const USAGE: &str = "usage: fig2 [--threads T] [seed] [iterations] [trials]
+  defaults: 1 thread, seed 2018, 400 iterations, 1 trial";
+
 fn main() {
-    let mut threads: usize = 1;
-    let mut positional: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            threads = args
-                .next()
-                .and_then(|s| s.parse().ok())
-                .expect("--threads T");
-        } else {
-            positional.push(arg);
-        }
-    }
-    let mut positional = positional.into_iter();
-    let seed: u64 = positional
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2018);
-    let iterations: u64 = positional
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(400);
-    let trials: u64 = positional.next().and_then(|s| s.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env(&["--threads"]);
+    let threads: usize = args.flag("--threads", 1);
+    let seed: u64 = args.pos("seed", 2018);
+    let iterations: u64 = args.pos("iterations", 400);
+    let trials: u64 = args.pos("trials", 1);
+    args.done(USAGE);
 
     eprintln!(
         "running {} full-stack training jobs (seed {seed}, {iterations} iters, {trials} trial(s), {threads} thread(s))…",

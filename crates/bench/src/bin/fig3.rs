@@ -1,38 +1,22 @@
 //! Regenerates Figure 3: DLaaS (PCIe P100) vs NVIDIA DGX-1 (NVLink).
 //!
-//! Usage: `cargo run -p dlaas-bench --bin fig3 [seed] [iterations]`
 
 use dlaas_bench::fig3;
+use dlaas_bench::flags::Args;
 use dlaas_bench::harness::print_table;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(2018);
-    let iterations: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(400);
-    let trials: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(1);
+    let mut args = Args::from_env(&[]);
+    let seed: u64 = args.pos("seed", 2018);
+    let iterations: u64 = args.pos("iterations", 400);
+    args.done("usage: fig3 [seed] [iterations]\n  defaults: seed 2018, 400 iterations");
 
-    eprintln!(
-        "running {} full-stack training jobs (seed {seed}, {iterations} iters, {trials} trial(s))…",
-        6 * trials
-    );
-    let trial_results: Vec<Vec<fig3::Fig3Result>> = (0..trials)
-        .map(|t| fig3::run_all(seed + t, iterations))
-        .collect();
-    let results = &trial_results[0];
+    eprintln!("running 6 full-stack training jobs (seed {seed}, {iterations} iters)…");
+    let results = fig3::run_all(seed, iterations);
 
     let rows: Vec<Vec<String>> = results
         .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let pcts: Vec<f64> = trial_results.iter().map(|t| t[i].measured_pct).collect();
-            let mean = pcts.iter().sum::<f64>() / pcts.len() as f64;
-            let lo = pcts.iter().copied().fold(f64::MAX, f64::min);
-            let hi = pcts.iter().copied().fold(f64::MIN, f64::max);
-            let ours = if trials > 1 {
-                format!("{mean:.2}% [{lo:.2}..{hi:.2}]")
-            } else {
-                format!("{mean:.2}%")
-            };
+        .map(|r| {
             vec![
                 r.cell.model.to_string(),
                 "TensorFlow".to_owned(),
@@ -40,7 +24,7 @@ fn main() {
                 "P100".to_owned(),
                 format!("{:.1}", r.dgx1),
                 format!("{:.1}", r.dlaas),
-                ours,
+                format!("{:.2}%", r.measured_pct),
                 format!("{:.2}%", r.cell.paper_pct),
             ]
         })

@@ -1,33 +1,21 @@
 //! Regenerates Figure 4: crash-recovery time by component.
 //!
-//! Usage: `cargo run -p dlaas-bench --bin fig4 [seed] [trials] [--threads T]`
-//!
 //! Each component's recoveries run as one trial of the campaign runner
 //! on its own fresh rig; the table is byte-identical at any thread count.
 
 use dlaas_bench::fig4;
+use dlaas_bench::flags::Args;
 use dlaas_bench::harness::print_table;
 
+const USAGE: &str = "usage: fig4 [--threads T] [seed] [trials]
+  defaults: 1 thread, seed 2018, 10 trials";
+
 fn main() {
-    let mut threads: usize = 1;
-    let mut positional: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            threads = args
-                .next()
-                .and_then(|s| s.parse().ok())
-                .expect("--threads T");
-        } else {
-            positional.push(arg);
-        }
-    }
-    let mut positional = positional.into_iter();
-    let seed: u64 = positional
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2018);
-    let trials: u32 = positional.next().and_then(|s| s.parse().ok()).unwrap_or(10);
+    let mut args = Args::from_env(&["--threads"]);
+    let threads: usize = args.flag("--threads", 1);
+    let seed: u64 = args.pos("seed", 2018);
+    let trials: u32 = args.pos("trials", 10);
+    args.done(USAGE);
 
     eprintln!(
         "crashing every component {trials}x on a live platform (seed {seed}, {threads} thread(s))…"

@@ -1,16 +1,14 @@
 //! Measures the §III-d claim: "Creation of the Guardian is a very quick
 //! (less than 3s in our experiments) single step process."
-//!
-//! Usage: `cargo run -p dlaas-bench --bin guardian_deploy [trials]`
 
 use dlaas_bench::fig4::guardian_creation_time;
+use dlaas_bench::flags::Args;
 use dlaas_faults::RecoveryStats;
 
 fn main() {
-    let trials: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10);
+    let mut args = Args::from_env(&[]);
+    let trials: u64 = args.pos("trials", 10);
+    args.done("usage: guardian_deploy [trials]\n  default: 10 trials");
     let mut stats = RecoveryStats::new();
     for seed in 0..trials {
         stats.push(guardian_creation_time(1000 + seed));

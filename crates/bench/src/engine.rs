@@ -1,38 +1,22 @@
-//! Engine throughput bench: raw discrete-event kernel speed in events
-//! per wall-second, the quantity every ROADMAP scale item is gated on.
+//! Engine throughput: raw discrete-event kernel speed in events per
+//! wall-second, the quantity every ROADMAP scale item is gated on.
 //!
-//! Two workloads:
+//! [`kernel_churn`] measures the kernel alone: a population of
+//! self-rescheduling actors whose delays span the near-future (bucket
+//! ring) and far-future (overflow tier) ranges, plus a defer and a
+//! schedule-then-cancel per firing so tombstone handling is on the
+//! measured path. The full-platform workload is the soak driver's
+//! `scale` profile ([`crate::soak`]).
 //!
-//! * `kernel_churn` — the kernel alone: a population of self-rescheduling
-//!   actors whose delays span the near-future (bucket ring) and far-future
-//!   (overflow tier) ranges, plus a defer and a schedule-then-cancel per
-//!   firing so tombstone handling is on the measured path.
-//! * `platform_soak` — the full control plane: the `scale_soak` N-job
-//!   workload (boot, N submissions over a 20-minute window, 4h horizon),
-//!   counting every kernel event the platform executes.
-//!
-//! Both report host wall time via the feature-gated
+//! Runs report host wall time via the feature-gated
 //! [`dlaas_obs::wallclock::WallTimer`], so `BENCH_engine.json` is a
 //! *wall-derived* artifact: it is NOT byte-stable across runs and must
 //! never enter a byte-comparison gate. CI instead compares the
 //! events-per-wall-second rates against a committed baseline with a
-//! relative tolerance ([`check_against_baseline`]).
+//! relative tolerance ([`crate::artifact::check_against_baseline`]).
 
-use std::cell::RefCell;
-use std::fmt::Write as _;
-use std::rc::Rc;
-
-use dlaas_core::{DlaasPlatform, GpuNodeSpec, JobStatus, PlatformConfig, Tenant, TrainingManifest};
-use dlaas_docstore::Value;
-use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_obs::wallclock::WallTimer;
 use dlaas_sim::{Sim, SimDuration, SimTime};
-
-use crate::harness::BENCH_KEY;
-
-/// Fixed sim horizon for the platform workload — matches `scale_soak` so
-/// the measured event mix is the one the acceptance criterion names.
-pub const PLATFORM_HORIZON: SimDuration = SimDuration::from_hours(4);
 
 /// One measured workload: how many kernel events ran and how long the
 /// host took to run them.
@@ -97,198 +81,10 @@ pub fn kernel_churn(seed: u64, actors: u64, target_events: u64) -> EngineRun {
     }
 }
 
-fn soak_manifest(name: &str) -> TrainingManifest {
-    TrainingManifest::builder(name)
-        .framework(Framework::TensorFlow)
-        .model(DlModel::Resnet50)
-        .gpus(GpuKind::K80, 1)
-        .learners(1)
-        .data("scale-data", "d/", 200_000_000)
-        .results("scale-results")
-        .iterations(100)
-        .build()
-        .unwrap()
-}
-
-/// Full-platform soak shaped exactly like `scale_soak`: boot, N jobs
-/// submitted over a 20-minute window, then the fixed 4h horizon. The
-/// measured region spans the entire run (boot included) and the event
-/// count is the kernel's own `events_executed`, so this is the
-/// end-to-end events/wall-sec number the acceptance criterion names.
-///
-/// # Panics
-///
-/// Panics if submissions were lost or jobs are still unfinished at the
-/// horizon — a throughput number over a malformed run is meaningless.
-pub fn platform_soak(seed: u64, n: u64) -> EngineRun {
-    let wall = WallTimer::start();
-    let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
-    let cfg = PlatformConfig {
-        core_nodes: 4,
-        gpu_nodes: vec![GpuNodeSpec {
-            kind: GpuKind::K80,
-            count: (n.div_ceil(4)).max(2) as u32,
-            gpus_each: 4,
-        }],
-        ..PlatformConfig::default()
-    };
-    let platform = DlaasPlatform::new(&mut sim, cfg);
-    platform.run_until_ready(&mut sim, SimDuration::from_secs(60));
-    platform
-        .add_tenant(&Tenant::new("bench", BENCH_KEY, 0))
-        .expect("bootstrap tenant insert");
-    platform.seed_dataset("scale-data", "d/", 200_000_000);
-    platform.create_bucket("scale-results");
-    let client = platform.client("scale", BENCH_KEY);
-
-    let window = SimDuration::from_mins(20);
-    let jobs = Rc::new(RefCell::new(Vec::with_capacity(n as usize)));
-    for i in 0..n {
-        let at = SimDuration::from_micros(window.as_micros() * i / n);
-        let client = client.clone();
-        let jobs = jobs.clone();
-        sim.schedule_in(at, move |sim| {
-            client.submit(sim, soak_manifest(&format!("scale-{i}")), move |_sim, r| {
-                if let Ok(job) = r {
-                    jobs.borrow_mut().push(job);
-                }
-            });
-        });
-    }
-    sim.run_for(PLATFORM_HORIZON);
-    let wall_secs = wall.elapsed_secs();
-
-    let mut unfinished = 0u64;
-    for job in jobs.borrow().iter() {
-        match platform.job_info(job).map(|i| i.status) {
-            Some(JobStatus::Completed | JobStatus::Failed | JobStatus::Killed) => {}
-            _ => unfinished += 1,
-        }
-    }
-    let submitted = jobs.borrow().len() as u64;
-    assert!(
-        submitted == n && unfinished == 0,
-        "platform_soak malformed: submitted={submitted}/{n}, unfinished={unfinished}"
-    );
-
-    EngineRun {
-        name: format!("platform_soak_n{n}"),
-        events: sim.events_executed(),
-        sim_secs: sim
-            .now()
-            .saturating_duration_since(SimTime::ZERO)
-            .as_secs_f64(),
-        wall_secs,
-    }
-}
-
-/// Hand-rolled JSON with fixed key order. Unlike the other BENCH
-/// artifacts this one embeds wall-clock readings, so it is byte-stable
-/// only in structure — compare it with [`check_against_baseline`], never
-/// with `cmp`.
-pub fn render_json(seed: u64, runs: &[EngineRun]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    write!(
-        out,
-        "  \"bench\": \"engine\",\n  \"seed\": {seed},\n  \"workloads\": [\n"
-    )
-    .unwrap();
-    for (i, r) in runs.iter().enumerate() {
-        let mut line = String::new();
-        write!(
-            line,
-            "    {{\"name\": \"{}\", \"events\": {}, \"sim_secs\": {:.6}, \"wall_secs\": {:.6}, \"events_per_wall_sec\": {:.1}}}",
-            r.name,
-            r.events,
-            r.sim_secs,
-            r.wall_secs,
-            r.events_per_wall_sec()
-        )
-        .unwrap();
-        out.push_str(&line);
-        out.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Compares a fresh `BENCH_engine.json` against a committed baseline.
-///
-/// For every workload in the baseline, the current run must contain the
-/// same workload name with `events_per_wall_sec` no more than
-/// `tolerance` (fractional, e.g. `0.10`) below the baseline rate.
-/// Returns per-workload report lines on success, or the list of
-/// violations on failure. Malformed JSON on either side is a violation —
-/// the gate must not pass by failing to parse.
-pub fn check_against_baseline(
-    current_json: &str,
-    baseline_json: &str,
-    tolerance: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    fn rates(json: &str, which: &str) -> Result<Vec<(String, f64)>, String> {
-        let v = Value::parse_json(json).map_err(|e| format!("{which}: unparseable JSON: {e:?}"))?;
-        let workloads = v
-            .path("workloads")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("{which}: missing \"workloads\" array"))?;
-        let mut out = Vec::new();
-        for w in workloads {
-            let name = w
-                .path("name")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("{which}: workload missing \"name\""))?;
-            let rate = w
-                .path("events_per_wall_sec")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("{which}: {name} missing \"events_per_wall_sec\""))?;
-            out.push((name.to_string(), rate));
-        }
-        Ok(out)
-    }
-
-    let base = match rates(baseline_json, "baseline") {
-        Ok(b) => b,
-        Err(e) => return Err(vec![e]),
-    };
-    let cur = match rates(current_json, "current") {
-        Ok(c) => c,
-        Err(e) => return Err(vec![e]),
-    };
-    if base.is_empty() {
-        return Err(vec!["baseline: no workloads to compare".into()]);
-    }
-
-    let mut report = Vec::new();
-    let mut violations = Vec::new();
-    for (name, base_rate) in &base {
-        let Some((_, cur_rate)) = cur.iter().find(|(n, _)| n == name) else {
-            violations.push(format!(
-                "{name}: present in baseline, missing from current run"
-            ));
-            continue;
-        };
-        let floor = base_rate * (1.0 - tolerance);
-        let line = format!(
-            "{name}: {cur_rate:.1} ev/wall-s vs baseline {base_rate:.1} (floor {floor:.1})"
-        );
-        if *cur_rate < floor {
-            violations.push(format!("REGRESSION {line}"));
-        } else {
-            report.push(format!("ok {line}"));
-        }
-    }
-    if violations.is_empty() {
-        Ok(report)
-    } else {
-        Err(violations)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{check_against_baseline, workloads_json};
 
     #[test]
     fn kernel_churn_is_deterministic_in_events() {
@@ -309,32 +105,45 @@ mod tests {
                 wall_secs: 10.0,
             })
             .collect();
-        render_json(1, &runs)
+        workloads_json("engine", 1, &runs)
     }
+
+    fn gate(cur: &str, base: &str) -> Result<Vec<String>, Vec<String>> {
+        check_against_baseline(&[cur], base, 0.10)
+    }
+
+    const COMMITTED: &str = include_str!("../../../BENCH_engine.baseline.json");
 
     #[test]
     fn baseline_check_passes_within_tolerance() {
         let base = fake_json(&[("kernel_churn", 1000.0)]);
-        let cur = fake_json(&[("kernel_churn", 950.0)]);
-        let report = check_against_baseline(&cur, &base, 0.10).expect("within tolerance");
+        let report = gate(&fake_json(&[("kernel_churn", 950.0)]), &base).expect("within tolerance");
         assert_eq!(report.len(), 1);
-        assert!(report[0].starts_with("ok kernel_churn"));
+        assert!(report[0].starts_with("ok kernel_churn"), "{report:?}");
+        assert_eq!(gate(COMMITTED, COMMITTED).map(|r| r.len()), Ok(2));
     }
 
     #[test]
     fn baseline_check_fails_on_regression() {
         let base = fake_json(&[("kernel_churn", 1000.0)]);
-        let cur = fake_json(&[("kernel_churn", 800.0)]);
-        let violations = check_against_baseline(&cur, &base, 0.10).expect_err("regressed");
-        assert!(violations[0].starts_with("REGRESSION kernel_churn"));
+        let violations =
+            gate(&fake_json(&[("kernel_churn", 800.0)]), &base).expect_err("regressed");
+        assert!(
+            violations[0].starts_with("REGRESSION kernel_churn"),
+            "{violations:?}"
+        );
+        // 20% under the committed figure.
+        assert!(gate(&COMMITTED.replace("247340.0", "197872.0"), COMMITTED).is_err());
     }
 
     #[test]
     fn baseline_check_fails_on_missing_workload_or_bad_json() {
         let base = fake_json(&[("kernel_churn", 1000.0), ("platform_soak_n100", 50.0)]);
         let cur = fake_json(&[("kernel_churn", 1000.0)]);
-        assert!(check_against_baseline(&cur, &base, 0.10).is_err());
-        assert!(check_against_baseline("not json", &base, 0.10).is_err());
-        assert!(check_against_baseline(&cur, "{}", 0.10).is_err());
+        assert!(gate(&cur, &base).is_err(), "missing workload");
+        assert!(gate("not json", &base).is_err(), "bad current");
+        assert!(gate(&cur, "not json").is_err(), "bad baseline");
+        assert!(gate(&cur, "{}").is_err(), "nothing to compare");
+        assert!(gate(&cur, "{\"workloads\": []}").is_err(), "empty");
     }
 }

@@ -18,15 +18,12 @@
 //! because it "binds to cloud object store and persistent NFS volumes"
 //! and restarts a heavyweight framework container.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use dlaas_core::{paths, DlaasPlatform, JobId, JobStatus, TrainingManifest};
 use dlaas_faults::{measure_recovery, RecoveryStats};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_sim::{Sim, SimDuration, SimTime};
 
-use crate::harness::{experiment_platform, BENCH_KEY};
+use crate::harness::{submit_one, Rig};
 use crate::runner::{CampaignRunner, Trial, TrialRun};
 
 /// The components of Fig. 4.
@@ -133,9 +130,7 @@ pub struct Fig4Rig {
 
 /// Boots the platform and parks a long training job in PROCESSING.
 pub fn rig(seed: u64) -> Fig4Rig {
-    let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
-    let platform = experiment_platform(&mut sim, GpuKind::K80, 4);
+    let (mut sim, platform) = Rig::bench(GpuKind::K80, 4).boot(seed);
     let manifest = TrainingManifest::builder("fig4-host")
         .framework(Framework::TensorFlow)
         .model(DlModel::Resnet50)
@@ -147,14 +142,7 @@ pub fn rig(seed: u64) -> Fig4Rig {
         .checkpoint_every(10_000)
         .build()
         .expect("valid manifest");
-    let client = platform.client("bench", BENCH_KEY);
-    let got: Rc<RefCell<Option<JobId>>> = Rc::new(RefCell::new(None));
-    let g = got.clone();
-    client.submit(&mut sim, manifest, move |_s, r| {
-        *g.borrow_mut() = Some(r.expect("submission accepted"));
-    });
-    sim.run_until_pred(|_| got.borrow().is_some());
-    let job = got.borrow().clone().expect("submitted");
+    let job = submit_one(&mut sim, &platform, manifest);
     let s = platform.wait_for_status(
         &mut sim,
         &job,
@@ -214,48 +202,6 @@ pub struct Fig4Run {
     pub metrics: dlaas_sim::Registry,
 }
 
-/// Runs `trials` recoveries for every component on one rig.
-pub fn run_all(seed: u64, trials: u32) -> Fig4Run {
-    let mut rig = rig(seed);
-    let results = Component::all()
-        .iter()
-        .map(|c| {
-            let mut stats = RecoveryStats::new();
-            for _ in 0..trials {
-                if let Some(d) = measure_once(&mut rig, *c) {
-                    stats.push(d);
-                }
-            }
-            Fig4Result {
-                component: *c,
-                stats,
-            }
-        })
-        .collect();
-    Fig4Run {
-        results,
-        metrics: rig.sim.metrics().clone(),
-    }
-}
-
-/// Runs `trials` recoveries for one component on its own fresh rig,
-/// reporting the simulated time consumed. The unit of parallelism for
-/// [`run_parallel`]: each component's measurements are independent of
-/// every other component's because nothing carries over between rigs.
-pub fn measure_component(seed: u64, component: Component, trials: u32) -> TrialRun<Fig4Result> {
-    let mut rig = rig(seed);
-    let mut stats = RecoveryStats::new();
-    for _ in 0..trials {
-        if let Some(d) = measure_once(&mut rig, component) {
-            stats.push(d);
-        }
-    }
-    TrialRun {
-        result: Fig4Result { component, stats },
-        sim_elapsed: rig.sim.now().saturating_duration_since(SimTime::ZERO),
-    }
-}
-
 /// Runs every component's `trials` recoveries on `threads` workers, one
 /// runner trial per component, each on a fresh rig booted from the same
 /// seed. Records merge in `Component::all()` order and the recovery
@@ -271,8 +217,21 @@ pub fn run_parallel(seed: u64, trials: u32, threads: usize) -> Fig4Run {
             spec: c,
         })
         .collect();
-    let report = CampaignRunner::new("fig4", threads)
-        .run(specs, |&c, _ctx| measure_component(seed, c, trials));
+    // Each component's measurements are independent of every other
+    // component's because nothing carries over between rigs.
+    let report = CampaignRunner::new("fig4", threads).run(specs, |&component| {
+        let mut rig = rig(seed);
+        let mut stats = RecoveryStats::new();
+        for _ in 0..trials {
+            if let Some(d) = measure_once(&mut rig, component) {
+                stats.push(d);
+            }
+        }
+        TrialRun {
+            result: Fig4Result { component, stats },
+            sim_elapsed: rig.sim.now().saturating_duration_since(SimTime::ZERO),
+        }
+    });
     let abnormal = report.failure_records();
     assert!(
         abnormal.is_empty(),
@@ -300,9 +259,7 @@ pub fn run_parallel(seed: u64, trials: u32, threads: usize) -> Fig4Run {
 /// the LCM receiving the deploy call (job still PENDING) to the Guardian
 /// container running.
 pub fn guardian_creation_time(seed: u64) -> SimDuration {
-    let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
-    let platform = experiment_platform(&mut sim, GpuKind::K80, 1);
+    let (mut sim, platform) = Rig::bench(GpuKind::K80, 1).boot(seed);
     let manifest = TrainingManifest::builder("quick")
         .framework(Framework::Caffe)
         .model(DlModel::Vgg16)
@@ -312,14 +269,7 @@ pub fn guardian_creation_time(seed: u64) -> SimDuration {
         .iterations(100)
         .build()
         .expect("valid manifest");
-    let client = platform.client("bench", BENCH_KEY);
-    let got: Rc<RefCell<Option<JobId>>> = Rc::new(RefCell::new(None));
-    let g = got.clone();
-    client.submit(&mut sim, manifest, move |_s, r| {
-        *g.borrow_mut() = Some(r.expect("accepted"));
-    });
-    sim.run_until_pred(|_| got.borrow().is_some());
-    let job = got.borrow().clone().expect("submitted");
+    let job = submit_one(&mut sim, &platform, manifest);
     let from = sim.now();
     let kube = platform.kube().clone();
     let gpod = paths::guardian_job(&job);

@@ -16,8 +16,6 @@ pub const BENCH_KEY: &str = "bench-key";
 /// Outcome of running one job through the platform.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRun {
-    /// The job id.
-    pub job: JobId,
     /// Terminal status.
     pub status: JobStatus,
     /// Throughput measured by the learners (images/sec), when completed.
@@ -26,23 +24,77 @@ pub struct JobRun {
     pub wall_secs: f64,
 }
 
-/// Builds a platform sized for the experiment's GPU demand.
-pub fn experiment_platform(sim: &mut Sim, kind: GpuKind, gpus_per_node: u32) -> DlaasPlatform {
-    let cfg = PlatformConfig {
+/// Everything a bench platform is built from: the cluster, the tenants
+/// and the two buckets its jobs read from and write to. Every experiment
+/// and soak profile boots through [`Rig::boot`].
+#[derive(Debug, Clone)]
+pub struct Rig {
+    /// Cluster shape and control-plane configuration.
+    pub cluster: PlatformConfig,
+    /// Tenants added once the platform is ready.
+    pub tenants: Vec<Tenant>,
+    /// Dataset bucket and its size in bytes (under prefix `d/`).
+    pub data: (&'static str, u64),
+    /// Results bucket.
+    pub results: &'static str,
+}
+
+/// `count` nodes of `gpus_each` GPUs of `kind`, default control plane.
+pub(crate) fn cluster(kind: GpuKind, count: u32, gpus_each: u32) -> PlatformConfig {
+    PlatformConfig {
         gpu_nodes: vec![GpuNodeSpec {
             kind,
-            count: 2,
-            gpus_each: gpus_per_node.max(1),
+            count,
+            gpus_each,
         }],
         ..PlatformConfig::default()
-    };
-    let p = DlaasPlatform::new(sim, cfg);
-    p.run_until_ready(sim, SimDuration::from_secs(60));
-    p.add_tenant(&Tenant::new("bench", BENCH_KEY, 0))
-        .expect("bootstrap tenant insert");
-    p.seed_dataset("bench-data", "d/", 2_000_000_000);
-    p.create_bucket("bench-results");
-    p
+    }
+}
+
+impl Rig {
+    /// The single-tenant `bench` rig of the figures and ablations: two
+    /// nodes of `gpus_per_node` GPUs of `kind`.
+    pub fn bench(kind: GpuKind, gpus_per_node: u32) -> Rig {
+        Rig {
+            cluster: cluster(kind, 2, gpus_per_node.max(1)),
+            tenants: vec![Tenant::new("bench", BENCH_KEY, 0)],
+            data: ("bench-data", 2_000_000_000),
+            results: "bench-results",
+        }
+    }
+
+    /// Boots the rig on a fresh untraced simulation of `seed` and returns
+    /// once the platform is ready with its tenants and buckets in place.
+    pub fn boot(&self, seed: u64) -> (Sim, DlaasPlatform) {
+        let mut sim = Sim::new(seed);
+        sim.trace_mut().set_enabled(false);
+        let p = DlaasPlatform::new(&mut sim, self.cluster.clone());
+        p.run_until_ready(&mut sim, SimDuration::from_secs(60));
+        for t in &self.tenants {
+            p.add_tenant(t).expect("bootstrap tenant insert");
+        }
+        p.seed_dataset(self.data.0, "d/", self.data.1);
+        p.create_bucket(self.results);
+        (sim, p)
+    }
+}
+
+/// Submits `manifest` as the `bench` tenant and runs until the platform
+/// acknowledges it.
+///
+/// # Panics
+///
+/// Panics if the platform rejects the submission.
+pub fn submit_one(sim: &mut Sim, platform: &DlaasPlatform, manifest: TrainingManifest) -> JobId {
+    let got: Rc<RefCell<Option<JobId>>> = Rc::new(RefCell::new(None));
+    let g = got.clone();
+    platform
+        .client("bench", BENCH_KEY)
+        .submit(sim, manifest, move |_s, r| {
+            *g.borrow_mut() = Some(r.expect("submission accepted"));
+        });
+    sim.run_until_pred(|_| got.borrow().is_some());
+    got.take().expect("submitted")
 }
 
 /// Standard manifest for throughput experiments (no checkpoints, so the
@@ -66,49 +118,22 @@ pub fn throughput_manifest(
         .expect("valid experiment manifest")
 }
 
-/// Submits `manifest` on a fresh platform and runs it to a terminal
-/// state, returning the measured numbers. `seed` controls all simulated
-/// noise (placement, jitter, timings).
-pub fn measure_dlaas_throughput(seed: u64, manifest: TrainingManifest) -> JobRun {
-    measure_dlaas_throughput_with(seed, manifest, dlaas_core::CoreConfig::default())
-}
-
-/// Like [`measure_dlaas_throughput`], with explicit control-plane config
-/// (used by sensitivity sweeps).
-pub fn measure_dlaas_throughput_with(
+/// Submits `manifest` on a fresh platform with control-plane config
+/// `core` and runs it to a terminal state, returning the measured
+/// numbers. `seed` controls all simulated noise (placement, jitter,
+/// timings).
+pub fn measure_dlaas_throughput(
     seed: u64,
     manifest: TrainingManifest,
     core: dlaas_core::CoreConfig,
 ) -> JobRun {
-    let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
-    let platform = {
-        let cfg = PlatformConfig {
-            core,
-            gpu_nodes: vec![GpuNodeSpec {
-                kind: manifest.gpu_kind,
-                count: 2,
-                gpus_each: (manifest.gpus_per_learner * manifest.learners).max(1),
-            }],
-            ..PlatformConfig::default()
-        };
-        let p = DlaasPlatform::new(&mut sim, cfg);
-        p.run_until_ready(&mut sim, SimDuration::from_secs(60));
-        p.add_tenant(&Tenant::new("bench", BENCH_KEY, 0))
-            .expect("bootstrap tenant insert");
-        p.seed_dataset("bench-data", "d/", 2_000_000_000);
-        p.create_bucket("bench-results");
-        p
-    };
-    let client = platform.client("bench", BENCH_KEY);
-
-    let got: Rc<RefCell<Option<JobId>>> = Rc::new(RefCell::new(None));
-    let g = got.clone();
-    client.submit(&mut sim, manifest, move |_s, r| {
-        *g.borrow_mut() = Some(r.expect("submission accepted"));
-    });
-    sim.run_until_pred(|_| got.borrow().is_some());
-    let job = got.borrow().clone().expect("submitted");
+    let mut rig = Rig::bench(
+        manifest.gpu_kind,
+        manifest.gpus_per_learner * manifest.learners,
+    );
+    rig.cluster.core = core;
+    let (mut sim, platform) = rig.boot(seed);
+    let job = submit_one(&mut sim, &platform, manifest);
     let submitted_at = sim.now();
 
     let status = platform
@@ -121,7 +146,6 @@ pub fn measure_dlaas_throughput_with(
         .unwrap_or(JobStatus::Failed);
     let info = platform.job_info(&job).expect("job recorded");
     JobRun {
-        job,
         status,
         images_per_sec: info.images_per_sec,
         wall_secs: (sim.now() - submitted_at).as_secs_f64(),
@@ -170,8 +194,6 @@ pub fn pct_diff(baseline: f64, measured: f64) -> f64 {
 
 /// Prints a table row list with a header (fixed-width, paper style).
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    // dlaas-lint: allow(debug-print): bench table renderer shared by the CLI bins; stdout is its API and it never runs inside the simulation.
-    println!("\n=== {title} ===");
     let widths: Vec<usize> = header
         .iter()
         .enumerate()
@@ -195,17 +217,14 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
         .iter()
         .map(std::string::ToString::to_string)
         .collect();
-    // dlaas-lint: allow(debug-print): bench table renderer shared by the CLI bins; stdout is its API and it never runs inside the simulation.
-    println!("{}", fmt_row(&header_cells));
-    // dlaas-lint: allow(debug-print): bench table renderer shared by the CLI bins; stdout is its API and it never runs inside the simulation.
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
-    );
+    let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1));
+    let mut out = format!("\n=== {title} ===\n{}\n{rule}", fmt_row(&header_cells));
     for r in rows {
-        // dlaas-lint: allow(debug-print): bench table renderer shared by the CLI bins; stdout is its API and it never runs inside the simulation.
-        println!("{}", fmt_row(r));
+        out.push('\n');
+        out.push_str(&fmt_row(r));
     }
+    // dlaas-lint: allow(debug-print): bench table renderer shared by the CLI bins; stdout is its API and it never runs inside the simulation.
+    println!("{out}");
 }
 
 #[cfg(test)]
@@ -220,35 +239,19 @@ mod tests {
 
     #[test]
     fn bare_metal_is_deterministic_per_seed() {
-        let a = bare_metal_images_per_sec(
-            1,
-            DlModel::Resnet50,
-            Framework::TensorFlow,
-            GpuKind::K80,
-            1,
-            ExecEnv::bare_metal_streaming(0.117e9),
-            0.015,
-        );
-        let b = bare_metal_images_per_sec(
-            1,
-            DlModel::Resnet50,
-            Framework::TensorFlow,
-            GpuKind::K80,
-            1,
-            ExecEnv::bare_metal_streaming(0.117e9),
-            0.015,
-        );
-        assert_eq!(a, b);
-        let c = bare_metal_images_per_sec(
-            2,
-            DlModel::Resnet50,
-            Framework::TensorFlow,
-            GpuKind::K80,
-            1,
-            ExecEnv::bare_metal_streaming(0.117e9),
-            0.015,
-        );
-        assert_ne!(a, c);
+        let run = |seed| {
+            bare_metal_images_per_sec(
+                seed,
+                DlModel::Resnet50,
+                Framework::TensorFlow,
+                GpuKind::K80,
+                1,
+                ExecEnv::bare_metal_streaming(0.117e9),
+                0.015,
+            )
+        };
+        assert_eq!(run(1), run(1));
+        assert_ne!(run(1), run(2));
     }
 
     #[test]
@@ -260,7 +263,7 @@ mod tests {
             1,
             300,
         );
-        let run = measure_dlaas_throughput(3, m);
+        let run = measure_dlaas_throughput(3, m, dlaas_core::CoreConfig::default());
         assert_eq!(run.status, JobStatus::Completed);
         let thr = run.images_per_sec.expect("throughput measured");
         // Model says ~52 img/s minus platform overheads and jitter.

@@ -6,14 +6,16 @@
 
 #![forbid(unsafe_code)]
 
+pub mod artifact;
 pub mod engine;
 pub mod fig2;
 pub mod fig3;
 pub mod fig4;
+pub mod flags;
 pub mod harness;
 pub mod matrix;
 pub mod runner;
+pub mod soak;
 pub mod traffic;
-pub mod workload;
 
 pub use harness::{measure_dlaas_throughput, JobRun};

@@ -13,35 +13,31 @@
 //! retries, no leaked resources).
 //!
 //! [`run_cell`] runs one (fault, step, seed) trial; [`sweep`] runs the
-//! full matrix and aggregates recovery times into a histogram;
-//! [`soak`] runs a randomized long-duration campaign with the
-//! [`InvariantMonitor`] checking continuously.
+//! full matrix and aggregates recovery times into a histogram. The
+//! randomized long-duration campaign is the soak driver's `chaos`
+//! profile ([`crate::soak`]), which injects these same [`FaultKind`]s.
 //!
-//! Campaigns parallelise over seeds: [`sweep_parallel`] and
-//! [`soak_parallel`] shard their trials across the
-//! [`CampaignRunner`](crate::runner::CampaignRunner) and merge the
-//! records by trial id, so every aggregate here — tables, the
+//! Campaigns parallelise over seeds: [`sweep`] shards its trials
+//! across the [`CampaignRunner`] and
+//! merges the records by trial id, so every aggregate here — tables, the
 //! [`render_matrix_json`] artifact, the replayed
 //! [`MATRIX_RECOVERY_SECONDS`] histogram — is byte-identical for any
 //! thread count.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
 
-use dlaas_core::{
-    check_invariants, paths, DlaasPlatform, GpuNodeSpec, InvariantMonitor, JobId, JobStatus,
-    PlatformConfig, Tenant,
-};
-use dlaas_faults::{nfs_outage_window, partition_window, when, ChaosMonkey};
+use dlaas_core::{check_invariants, paths, DlaasPlatform, JobId, JobStatus};
+use dlaas_faults::{nfs_outage_window, partition_window, when};
 use dlaas_gpu::{DlModel, Framework, GpuKind};
 use dlaas_kube::{labels, PodPhase};
 use dlaas_raft::raft_addr;
 use dlaas_sim::{Sim, SimDuration, SimTime};
 
-use crate::harness::{experiment_platform, throughput_manifest, BENCH_KEY};
+use crate::artifact::{fields, int, text, Json};
+use crate::harness::{submit_one, throughput_manifest, Rig};
 use crate::runner::{CampaignReport, CampaignRunner, Trial, TrialRun};
-use crate::workload::{WorkloadConfig, WorkloadGenerator};
 
 /// Histogram of fault-to-terminal times, labelled by fault kind and
 /// injection point.
@@ -332,13 +328,13 @@ impl CellOutcome {
 /// to a terminal state, let GC settle past the invariant grace period,
 /// then check every platform invariant.
 pub fn run_cell(seed: u64, kind: FaultKind, point: InjectionPoint) -> CellOutcome {
-    run_cell_inner(seed, kind, point).0
+    cell_trial(seed, kind, point).result
 }
 
-fn run_cell_inner(seed: u64, kind: FaultKind, point: InjectionPoint) -> (CellOutcome, SimTime) {
-    let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
-    let platform = experiment_platform(&mut sim, GpuKind::K80, 1);
+/// [`run_cell`], also reporting the simulated time the trial consumed
+/// (what the runner's sim-time budget is checked against).
+fn cell_trial(seed: u64, kind: FaultKind, point: InjectionPoint) -> TrialRun<CellOutcome> {
+    let (mut sim, platform) = Rig::bench(GpuKind::K80, 1).boot(seed);
     let manifest = throughput_manifest(
         DlModel::Resnet50,
         Framework::TensorFlow,
@@ -346,14 +342,7 @@ fn run_cell_inner(seed: u64, kind: FaultKind, point: InjectionPoint) -> (CellOut
         1,
         300,
     );
-    let client = platform.client("bench", BENCH_KEY);
-    let got: Rc<RefCell<Option<JobId>>> = Rc::new(RefCell::new(None));
-    let g = got.clone();
-    client.submit(&mut sim, manifest, move |_s, r| {
-        *g.borrow_mut() = Some(r.expect("submission accepted"));
-    });
-    sim.run_until_pred(|_| got.borrow().is_some());
-    let job = got.borrow().clone().expect("submitted");
+    let job = submit_one(&mut sim, &platform, manifest);
 
     let fired: Rc<Cell<Option<SimTime>>> = Rc::new(Cell::new(None));
     let f2 = fired.clone();
@@ -381,14 +370,6 @@ fn run_cell_inner(seed: u64, kind: FaultKind, point: InjectionPoint) -> (CellOut
         (Some(at), Some(s)) if s.is_terminal() => Some(sim.now().saturating_duration_since(at)),
         _ => None,
     };
-    if let Some(d) = recovery {
-        sim.metrics().observe_duration_us(
-            MATRIX_RECOVERY_SECONDS,
-            &[("fault", kind.label()), ("point", point.label())],
-            d.as_micros(),
-        );
-    }
-
     // Settle well past the GC grace (3 LCM scan periods) so the leak
     // invariants apply with full force.
     sim.run_for(platform.handles().config.lcm_scan * 6);
@@ -407,140 +388,67 @@ fn run_cell_inner(seed: u64, kind: FaultKind, point: InjectionPoint) -> (CellOut
             .map(std::string::ToString::to_string)
             .collect(),
     };
-    (outcome, sim.now())
+    TrialRun {
+        result: outcome,
+        sim_elapsed: sim.now().saturating_duration_since(SimTime::ZERO),
+    }
 }
 
-/// A full matrix campaign: outcomes plus an aggregate registry holding
-/// the [`MATRIX_RECOVERY_SECONDS`] histogram across every cell.
+/// A matrix campaign executed through the runner: the outcomes of the
+/// completed cells, their aggregated [`MATRIX_RECOVERY_SECONDS`]
+/// histogram, and the full per-trial report with any `TIMEOUT`/panic
+/// records.
 #[derive(Debug)]
-pub struct MatrixRun {
-    /// One outcome per (fault, step, seed).
+pub struct MatrixCampaign {
+    /// One outcome per completed (fault, step, seed) trial.
     pub outcomes: Vec<CellOutcome>,
     /// Aggregated recovery histogram, labelled by fault and point.
     pub metrics: dlaas_sim::Registry,
-}
-
-impl MatrixRun {
-    /// Every cell that did not pass.
-    pub fn failures(&self) -> Vec<&CellOutcome> {
-        self.outcomes.iter().filter(|o| !o.passed()).collect()
-    }
-}
-
-/// Runs the full matrix: every fault kind × every deployment step ×
-/// `seeds` seeds starting at `base_seed`. Sequential (one thread, no
-/// budget) — the parallel entry point is [`sweep_parallel`].
-pub fn sweep(base_seed: u64, seeds: u64) -> MatrixRun {
-    sweep_parallel(base_seed, seeds, 1, None).run
-}
-
-/// The spec of one matrix trial — plain `Send + Clone` data a worker
-/// thread rebuilds the whole trial from.
-#[derive(Debug, Clone, Copy)]
-pub struct MatrixSpec {
-    /// The simulation seed.
-    pub seed: u64,
-    /// The fault to inject.
-    pub kind: FaultKind,
-    /// The deployment step to target.
-    pub point: InjectionPoint,
-}
-
-/// The exact command that reruns one matrix cell alone, single-threaded.
-pub fn matrix_repro(kind: FaultKind, point: InjectionPoint, seed: u64) -> String {
-    format!(
-        "cargo run --release -p dlaas-bench --bin fault_matrix -- --trial {}/{} --seed {seed}",
-        kind.label(),
-        point.label()
-    )
-}
-
-/// The canonical trial enumeration of a matrix campaign: fault kind ×
-/// injection point × seed, in that nesting order. Trial ids (positions
-/// in this list) key the deterministic sorted merge.
-pub fn matrix_trials(base_seed: u64, seeds: u64) -> Vec<Trial<MatrixSpec>> {
-    matrix_trials_for(&FaultKind::all(), base_seed, seeds)
-}
-
-/// Like [`matrix_trials`], restricted to the given fault kinds (the
-/// `--fault LABEL` smoke subset CI runs on every push).
-pub fn matrix_trials_for(
-    kinds: &[FaultKind],
-    base_seed: u64,
-    seeds: u64,
-) -> Vec<Trial<MatrixSpec>> {
-    let mut trials = Vec::new();
-    for &kind in kinds {
-        for point in InjectionPoint::all() {
-            for i in 0..seeds {
-                let seed = base_seed + i;
-                trials.push(Trial {
-                    label: format!("{}/{}/{seed}", kind.label(), point.label()),
-                    repro: matrix_repro(kind, point, seed),
-                    spec: MatrixSpec { seed, kind, point },
-                });
-            }
-        }
-    }
-    trials
-}
-
-/// Like [`run_cell`], also reporting the total simulated time the trial
-/// consumed (what the runner's sim-time budget is checked against).
-pub fn run_cell_timed(seed: u64, kind: FaultKind, point: InjectionPoint) -> TrialRun<CellOutcome> {
-    let (outcome, end) = run_cell_inner(seed, kind, point);
-    TrialRun {
-        result: outcome,
-        sim_elapsed: end.saturating_duration_since(SimTime::ZERO),
-    }
-}
-
-/// A matrix campaign executed through the runner: the aggregate
-/// [`MatrixRun`] (completed cells only) plus the full per-trial report
-/// with any `TIMEOUT`/panic records.
-#[derive(Debug)]
-pub struct MatrixCampaign {
-    /// Aggregated outcomes and recovery histogram over completed trials.
-    pub run: MatrixRun,
     /// The per-trial report, sorted by trial id.
     pub report: CampaignReport<CellOutcome>,
 }
 
 impl MatrixCampaign {
-    /// `true` when every trial completed, passed, and stayed in budget.
-    pub fn clean(&self) -> bool {
-        self.report.abnormal().is_empty() && self.run.failures().is_empty()
+    /// Every completed cell that did not pass.
+    pub fn failures(&self) -> Vec<&CellOutcome> {
+        self.outcomes.iter().filter(|o| !o.passed()).collect()
     }
 }
 
-/// Runs the full matrix campaign on `threads` workers. Records merge by
-/// trial id, and the recovery histogram is replayed from the merged
-/// sequence on the calling thread, so every output — including the
-/// registry exposition — is byte-identical for any `threads`, including 1.
-pub fn sweep_parallel(
-    base_seed: u64,
-    seeds: u64,
-    threads: usize,
-    sim_budget: Option<SimDuration>,
-) -> MatrixCampaign {
-    sweep_parallel_for(&FaultKind::all(), base_seed, seeds, threads, sim_budget)
-}
-
-/// Like [`sweep_parallel`], restricted to the given fault kinds.
-pub fn sweep_parallel_for(
+/// Runs the matrix campaign — every given fault kind × every deployment
+/// step × `seeds` seeds from `base_seed`, in that nesting order — on
+/// `threads` workers. Records merge by trial id, and the recovery
+/// histogram is replayed from the merged sequence on the calling
+/// thread, so every output — including the registry exposition — is
+/// byte-identical for any `threads`, including 1.
+pub fn sweep(
     kinds: &[FaultKind],
     base_seed: u64,
     seeds: u64,
     threads: usize,
     sim_budget: Option<SimDuration>,
 ) -> MatrixCampaign {
+    let mut trials = Vec::new();
+    for &kind in kinds {
+        for point in InjectionPoint::all() {
+            for seed in base_seed..base_seed + seeds {
+                let (fault, step) = (kind.label(), point.label());
+                trials.push(Trial {
+                    label: format!("{fault}/{step}/{seed}"),
+                    repro: format!(
+                        "cargo run --release -p dlaas-bench --bin fault_matrix -- \
+                         --trial {fault}/{step} --seed {seed}"
+                    ),
+                    spec: (seed, kind, point),
+                });
+            }
+        }
+    }
     let mut runner = CampaignRunner::new("fault_matrix", threads);
     if let Some(b) = sim_budget {
         runner = runner.with_sim_budget(b);
     }
-    let report = runner.run(matrix_trials_for(kinds, base_seed, seeds), |spec, _ctx| {
-        run_cell_timed(spec.seed, spec.kind, spec.point)
-    });
+    let report = runner.run(trials, |&(seed, kind, point)| cell_trial(seed, kind, point));
 
     // Replay the merged records into a fresh registry. Histogram bucket
     // counts are commutative, but replaying in trial-id order makes the
@@ -558,7 +466,8 @@ pub fn sweep_parallel_for(
         outcomes.push(out.clone());
     }
     MatrixCampaign {
-        run: MatrixRun { outcomes, metrics },
+        outcomes,
+        metrics,
         report,
     }
 }
@@ -569,338 +478,48 @@ pub fn sweep_parallel_for(
 /// thread count and no wall-clock reading, so the artifact is identical
 /// for any `--threads` value.
 pub fn render_matrix_json(base_seed: u64, seeds: u64, campaign: &MatrixCampaign) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"campaign\": \"fault_matrix\",\n");
-    out.push_str(&format!("  \"base_seed\": {base_seed},\n"));
-    out.push_str(&format!("  \"seeds\": {seeds},\n"));
-    out.push_str("  \"cells\": [\n");
-    let cells: Vec<String> = campaign
-        .run
-        .outcomes
-        .iter()
+    let null = || Json::Raw("null".into());
+    let cells = (campaign.outcomes.iter())
         .map(|o| {
-            let status = o.status.map_or("null".to_owned(), |s| format!("\"{s:?}\""));
-            let recovery = o
-                .recovery
-                .map_or("null".to_owned(), |d| d.as_micros().to_string());
-            format!(
-                "    {{\"fault\": \"{}\", \"point\": \"{}\", \"seed\": {}, \"status\": {status}, \
-                 \"fired\": {}, \"recovery_us\": {recovery}, \"violations\": {}, \"passed\": {}}}",
-                o.kind.label(),
-                o.point.label(),
-                o.seed,
-                o.fault_fired,
-                o.violations.len(),
-                o.passed()
-            )
+            Json::Line(fields([
+                ("fault", text(o.kind.label())),
+                ("point", text(o.point.label())),
+                ("seed", int(o.seed)),
+                (
+                    "status",
+                    o.status.map_or_else(null, |s| text(format!("{s:?}"))),
+                ),
+                ("fired", int(o.fault_fired)),
+                (
+                    "recovery_us",
+                    o.recovery.map_or_else(null, |d| int(d.as_micros())),
+                ),
+                ("violations", int(o.violations.len())),
+                ("passed", int(o.passed())),
+            ]))
         })
         .collect();
-    out.push_str(&cells.join(",\n"));
-    out.push_str("\n  ],\n");
-    let failures: Vec<String> = campaign
-        .run
+    let failures = campaign
         .failures()
         .iter()
-        .map(|o| format!("    \"{}\"", json_escape(&o.describe())))
+        .map(|o| text(o.describe()))
         .collect();
-    out.push_str("  \"failures\": [\n");
-    out.push_str(&failures.join(",\n"));
-    out.push_str("\n  ],\n");
-    let abnormal: Vec<String> = campaign
+    let abnormal = campaign
         .report
         .failure_records()
-        .iter()
-        .map(|d| format!("    \"{}\"", json_escape(d)))
+        .into_iter()
+        .map(text)
         .collect();
-    out.push_str("  \"abnormal\": [\n");
-    out.push_str(&abnormal.join(",\n"));
-    out.push_str("\n  ],\n");
-    out.push_str(&format!(
-        "  \"metrics\": \"{}\"\n",
-        json_escape(&campaign.run.metrics.expose())
-    ));
-    out.push_str("}\n");
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
-/// Results of one randomized soak (see [`soak`]).
-#[derive(Debug)]
-pub struct SoakOutcome {
-    /// Jobs acknowledged by the platform.
-    pub submitted: usize,
-    /// Jobs that completed.
-    pub completed: usize,
-    /// Jobs that ended FAILED or KILLED.
-    pub failed: usize,
-    /// Jobs still non-terminal after the drain (must be zero).
-    pub unfinished: usize,
-    /// Distinct (job, invariant) violations the continuous monitor saw.
-    pub violations_during: usize,
-    /// Violations of the final post-drain check, rendered.
-    pub final_violations: Vec<String>,
-    /// The platform's metrics registry at the end of the run.
-    pub metrics: dlaas_sim::Registry,
-}
-
-impl SoakOutcome {
-    /// `true` when the soak ended with every invariant intact and no job
-    /// in limbo.
-    pub fn clean(&self) -> bool {
-        self.unfinished == 0 && self.violations_during == 0 && self.final_violations.is_empty()
-    }
-}
-
-/// A randomized soak with continuous invariant checking: a Poisson
-/// workload, a pod-level chaos monkey, and a rotating substrate fault
-/// (etcd leader crash, mongo crash, NFS outage, partition) every few
-/// minutes, with the [`InvariantMonitor`] re-checking every minute.
-/// After `hours` the faults stop, the platform drains, and a final
-/// strict check runs.
-pub fn soak(seed: u64, hours: u64) -> SoakOutcome {
-    soak_inner(seed, hours, None).0
-}
-
-/// Like [`soak`], with an explicit LCM replica count (the nightly HA
-/// soak runs M=3 so shard takeover happens under chaos, not just in
-/// targeted cells).
-pub fn soak_with(seed: u64, hours: u64, lcm_replicas: Option<u32>) -> SoakOutcome {
-    soak_inner(seed, hours, lcm_replicas).0
-}
-
-fn soak_inner(seed: u64, hours: u64, lcm_replicas: Option<u32>) -> (SoakOutcome, SimTime) {
-    let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
-    let mut cfg = PlatformConfig {
-        core_nodes: 4,
-        gpu_nodes: vec![GpuNodeSpec {
-            kind: GpuKind::K80,
-            count: 8,
-            gpus_each: 4,
-        }],
-        ..PlatformConfig::default()
-    };
-    if let Some(m) = lcm_replicas {
-        cfg.core.lcm_replicas = m;
-    }
-    let platform = DlaasPlatform::new(&mut sim, cfg);
-    platform.run_until_ready(&mut sim, SimDuration::from_secs(60));
-    platform
-        .add_tenant(&Tenant::new("bench", BENCH_KEY, 0))
-        .expect("bootstrap tenant insert");
-    platform.seed_dataset("wl-data", "d/", 1_000_000_000);
-    platform.create_bucket("wl-results");
-
-    let gen = WorkloadGenerator::start(
-        &mut sim,
-        platform.client("operator", BENCH_KEY),
-        WorkloadConfig::default(),
-    );
-    let monkey = ChaosMonkey::unleash(
-        &mut sim,
-        platform.kube(),
-        labels! {},
-        SimDuration::from_secs(90),
-        0.3,
-    );
-    // Liveness bound sized for chaos: a late crash of a non-checkpointing
-    // job legitimately restarts training from scratch (§III-g), so time
-    // to terminal is queueing plus several full trainings.
-    let bounds = dlaas_core::InvariantBounds {
-        terminal_within: SimDuration::from_hours(4),
-        ..dlaas_core::InvariantBounds::from_config(&platform.handles().config)
-    };
-    let monitor =
-        InvariantMonitor::install_with(&mut sim, &platform, SimDuration::from_secs(60), bounds);
-
-    // Rotate through the substrate faults, one every few minutes.
-    let p2 = platform.clone();
-    let rotation = dlaas_sim::every(&mut sim, SimDuration::from_mins(7), move |sim, n| {
-        match n % 4 {
-            0 => {
-                if let Some(leader) = p2.etcd().leader_id() {
-                    let cluster = p2.etcd().clone();
-                    cluster.crash(sim, leader);
-                    sim.schedule_in(outage(), move |sim| cluster.restart(sim, leader));
-                }
-            }
-            1 => p2.crash_mongo(sim, Some(outage())),
-            2 => nfs_outage_window(sim, p2.nfs(), outage()),
-            _ => {
-                if let Some(leader) = p2.etcd().leader_id() {
-                    partition_window(
-                        sim,
-                        p2.etcd().raft().net(),
-                        vec![vec![raft_addr(leader)], peer_group(&p2, leader)],
-                        outage(),
-                    );
-                }
-            }
-        }
-        true
-    });
-
-    sim.run_for(SimDuration::from_hours(hours));
-    gen.stop();
-    monkey.stop();
-    rotation.cancel();
-    // Drain: every in-flight job finishes and GC passes the grace period.
-    sim.run_for(SimDuration::from_hours(4));
-
-    let (submitted, completed, failed, unfinished) = {
-        let report = gen.report();
-        let report = report.borrow();
-        let (done, failed, other) = report.outcomes(&platform);
-        (report.submitted.len(), done, failed, other)
-    };
-    let final_report = check_invariants(&sim, &platform);
-    let violations_during = monitor.violations_seen();
-    monitor.cancel();
-
-    let outcome = SoakOutcome {
-        submitted,
-        completed,
-        failed,
-        unfinished,
-        violations_during,
-        final_violations: final_report
-            .violations
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect(),
-        metrics: sim.metrics().clone(),
-    };
-    (outcome, sim.now())
-}
-
-/// The `Send` digest of one soak trial: everything the campaign tables
-/// and artifacts need, extracted on the worker thread because the full
-/// [`SoakOutcome`] carries a (non-`Send`) registry handle.
-#[derive(Debug, Clone)]
-pub struct SoakSummary {
-    /// The soak's seed.
-    pub seed: u64,
-    /// Chaos hours before the drain.
-    pub hours: u64,
-    /// Jobs acknowledged by the platform.
-    pub submitted: usize,
-    /// Jobs that completed.
-    pub completed: usize,
-    /// Jobs that ended FAILED or KILLED.
-    pub failed: usize,
-    /// Jobs still non-terminal after the drain (must be zero).
-    pub unfinished: usize,
-    /// Distinct (job, invariant) violations the continuous monitor saw.
-    pub violations_during: usize,
-    /// Violations of the final post-drain check, rendered.
-    pub final_violations: Vec<String>,
-    /// Pod restarts observed platform-wide during the soak.
-    pub pod_restarts: u64,
-}
-
-impl SoakSummary {
-    /// Mirrors [`SoakOutcome::clean`].
-    pub fn clean(&self) -> bool {
-        self.unfinished == 0 && self.violations_during == 0 && self.final_violations.is_empty()
-    }
-
-    /// One summary line for tables and failure messages.
-    pub fn describe(&self) -> String {
-        format!(
-            "soak seed {} ({}h): submitted={} completed={} failed={} unfinished={} \
-             violations_during={} final_violations={} pod_restarts={}",
-            self.seed,
-            self.hours,
-            self.submitted,
-            self.completed,
-            self.failed,
-            self.unfinished,
-            self.violations_during,
-            self.final_violations.len(),
-            self.pod_restarts
-        )
-    }
-}
-
-/// The exact command that reruns one soak trial alone, single-threaded.
-pub fn soak_repro(seed: u64, hours: u64, lcm_replicas: Option<u32>) -> String {
-    let replicas = lcm_replicas.map_or(String::new(), |m| format!(" --lcm-replicas {m}"));
-    format!(
-        "cargo run --release -p dlaas-bench --bin fault_matrix -- \
-         --soak {hours} --seed {seed}{replicas}"
-    )
-}
-
-/// Runs one soak and digests it into a `Send` summary plus the simulated
-/// time consumed.
-pub fn soak_summary_timed(
-    seed: u64,
-    hours: u64,
-    lcm_replicas: Option<u32>,
-) -> TrialRun<SoakSummary> {
-    let (out, end) = soak_inner(seed, hours, lcm_replicas);
-    let pod_restarts = out.metrics.counter_total("kube_pod_restarts_total");
-    TrialRun {
-        result: SoakSummary {
-            seed,
-            hours,
-            submitted: out.submitted,
-            completed: out.completed,
-            failed: out.failed,
-            unfinished: out.unfinished,
-            violations_during: out.violations_during,
-            final_violations: out.final_violations,
-            pod_restarts,
-        },
-        sim_elapsed: end.saturating_duration_since(SimTime::ZERO),
-    }
-}
-
-/// Runs a campaign of independent soaks (seeds `base_seed..base_seed +
-/// seeds`, each `hours` of chaos) on `threads` workers, merged by trial
-/// id.
-pub fn soak_parallel(
-    base_seed: u64,
-    seeds: u64,
-    hours: u64,
-    threads: usize,
-    sim_budget: Option<SimDuration>,
-) -> CampaignReport<SoakSummary> {
-    soak_parallel_with(base_seed, seeds, hours, None, threads, sim_budget)
-}
-
-/// Like [`soak_parallel`], with an explicit LCM replica count per soak.
-pub fn soak_parallel_with(
-    base_seed: u64,
-    seeds: u64,
-    hours: u64,
-    lcm_replicas: Option<u32>,
-    threads: usize,
-    sim_budget: Option<SimDuration>,
-) -> CampaignReport<SoakSummary> {
-    let trials: Vec<Trial<(u64, u64)>> = (0..seeds)
-        .map(|i| {
-            let seed = base_seed + i;
-            Trial {
-                label: format!("soak/{seed}"),
-                repro: soak_repro(seed, hours, lcm_replicas),
-                spec: (seed, hours),
-            }
-        })
-        .collect();
-    let mut runner = CampaignRunner::new("chaos_soak", threads);
-    if let Some(b) = sim_budget {
-        runner = runner.with_sim_budget(b);
-    }
-    runner.run(trials, move |&(seed, hours), _ctx| {
-        soak_summary_timed(seed, hours, lcm_replicas)
-    })
+    Json::Block(fields([
+        ("campaign", text("fault_matrix")),
+        ("base_seed", int(base_seed)),
+        ("seeds", int(seeds)),
+        ("cells", Json::List(cells)),
+        ("failures", Json::List(failures)),
+        ("abnormal", Json::List(abnormal)),
+        ("metrics", text(campaign.metrics.expose())),
+    ]))
+    .render()
 }
 
 #[cfg(test)]

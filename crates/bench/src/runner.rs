@@ -36,7 +36,6 @@
 //! command, and the remaining trials still run.
 
 use std::collections::VecDeque;
-use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
@@ -210,16 +209,6 @@ impl<R> CampaignReport<R> {
     }
 }
 
-/// Shared context every trial function receives.
-#[derive(Debug, Clone, Copy)]
-pub struct TrialCtx {
-    /// The per-trial sim-time budget, when one is set. Trial functions
-    /// should cap their horizons with it so an overrunning simulation
-    /// stops instead of running unbounded; the runner independently
-    /// converts any overrun into a `TIMEOUT` record.
-    pub sim_budget: Option<SimDuration>,
-}
-
 /// Runs a campaign of independent deterministic trials on a thread pool.
 #[derive(Debug, Clone)]
 pub struct CampaignRunner {
@@ -246,16 +235,6 @@ impl CampaignRunner {
         self
     }
 
-    /// The campaign label.
-    pub fn campaign(&self) -> &str {
-        &self.campaign
-    }
-
-    /// Worker thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Executes every trial, each in its own `Sim` on a worker thread,
     /// and merges the records by trial id.
     ///
@@ -266,12 +245,9 @@ impl CampaignRunner {
     where
         S: Send,
         R: Send,
-        F: Fn(&S, TrialCtx) -> TrialRun<R> + Sync,
+        F: Fn(&S) -> TrialRun<R> + Sync,
     {
         let campaign_wall = WallTimer::start();
-        let ctx = TrialCtx {
-            sim_budget: self.sim_budget,
-        };
         let queue: Mutex<VecDeque<(usize, Trial<S>)>> =
             Mutex::new(trials.into_iter().enumerate().collect());
         let n_queued = queue.lock().map(|q| q.len()).unwrap_or(0);
@@ -295,7 +271,7 @@ impl CampaignRunner {
                     };
                     let Some((trial, t)) = job else { break };
                     let wall = WallTimer::start();
-                    let ran = catch_unwind(AssertUnwindSafe(|| run_trial(&t.spec, ctx)));
+                    let ran = catch_unwind(AssertUnwindSafe(|| run_trial(&t.spec)));
                     let outcome = match ran {
                         Ok(run) => match budget {
                             Some(b) if run.sim_elapsed > b => TrialOutcome::Timeout {
@@ -363,16 +339,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-impl<R> fmt::Display for TrialOutcome<R> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TrialOutcome::Done(_) => f.write_str("done"),
-            TrialOutcome::Timeout { .. } => f.write_str("timeout"),
-            TrialOutcome::Panicked { .. } => f.write_str("panic"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,7 +363,7 @@ mod tests {
     #[test]
     fn records_merge_in_trial_id_order_at_any_thread_count() {
         let run = |threads: usize| {
-            let report = CampaignRunner::new("demo", threads).run(trials(16), |&v, _ctx| {
+            let report = CampaignRunner::new("demo", threads).run(trials(16), |&v| {
                 // Skew completion order: later trials finish first.
                 std::thread::sleep(std::time::Duration::from_millis(2 * (16 - v)));
                 ok_run(v)
@@ -421,16 +387,13 @@ mod tests {
     fn sim_budget_overrun_becomes_timeout_record() {
         let report = CampaignRunner::new("demo", 2)
             .with_sim_budget(SimDuration::from_secs(10))
-            .run(trials(3), |&v, ctx| {
-                assert_eq!(ctx.sim_budget, Some(SimDuration::from_secs(10)));
-                TrialRun {
-                    result: v,
-                    sim_elapsed: if v == 1 {
-                        SimDuration::from_secs(3600) // overruns the budget
-                    } else {
-                        SimDuration::from_secs(2)
-                    },
-                }
+            .run(trials(3), |&v| TrialRun {
+                result: v,
+                sim_elapsed: if v == 1 {
+                    SimDuration::from_secs(3600) // overruns the budget
+                } else {
+                    SimDuration::from_secs(2)
+                },
             });
         assert_eq!(report.records.len(), 3);
         let abnormal = report.abnormal();
@@ -450,7 +413,7 @@ mod tests {
     fn exact_budget_is_not_a_timeout() {
         let report = CampaignRunner::new("demo", 1)
             .with_sim_budget(SimDuration::from_secs(10))
-            .run(trials(1), |&v, _| TrialRun {
+            .run(trials(1), |&v| TrialRun {
                 result: v,
                 sim_elapsed: SimDuration::from_secs(10),
             });
@@ -459,7 +422,7 @@ mod tests {
 
     #[test]
     fn panic_becomes_failure_record_with_repro_and_others_survive() {
-        let report = CampaignRunner::new("demo", 4).run(trials(6), |&v, _| {
+        let report = CampaignRunner::new("demo", 4).run(trials(6), |&v| {
             assert!(v != 3, "injected crash on trial 3");
             ok_run(v)
         });
@@ -471,7 +434,7 @@ mod tests {
             TrialOutcome::Panicked { message } => {
                 assert!(message.contains("injected crash"), "{message}");
             }
-            other => panic!("expected panic record, got {other}"),
+            other => panic!("expected panic record, got {other:?}"),
         }
         let failures = report.failure_records();
         assert_eq!(failures.len(), 1);
@@ -484,7 +447,7 @@ mod tests {
 
     #[test]
     fn wall_histogram_counts_every_trial() {
-        let report = CampaignRunner::new("demo", 2).run(trials(5), |&v, _| ok_run(v));
+        let report = CampaignRunner::new("demo", 2).run(trials(5), |&v| ok_run(v));
         let h = report
             .wall_metrics
             .histogram(TRIAL_WALL_SECONDS, &[("campaign", "demo")])
@@ -497,17 +460,15 @@ mod tests {
 
     #[test]
     fn empty_campaign_reports_empty() {
-        let report =
-            CampaignRunner::new("demo", 4).run(Vec::<Trial<u64>>::new(), |&v, _| ok_run(v));
+        let report = CampaignRunner::new("demo", 4).run(Vec::<Trial<u64>>::new(), |&v| ok_run(v));
         assert!(report.records.is_empty());
         assert!(report.abnormal().is_empty());
     }
 
     #[test]
     fn zero_threads_clamps_to_one() {
-        let runner = CampaignRunner::new("demo", 0);
-        assert_eq!(runner.threads(), 1);
-        let report = runner.run(trials(2), |&v, _| ok_run(v));
+        let report = CampaignRunner::new("demo", 0).run(trials(2), |&v| ok_run(v));
+        assert_eq!(report.threads, 1);
         assert_eq!(report.records.len(), 2);
     }
 }

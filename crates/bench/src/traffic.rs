@@ -17,14 +17,10 @@
 //! [`generate`] precomputes the full arrival schedule up front (pure
 //! math over a forked [`SimRng`], no event-loop interleaving), so the
 //! schedule is byte-identical regardless of how the driving campaign is
-//! threaded. [`check_against_baseline`] is the CI gate over the
-//! artifacts the `traffic_soak` bin emits: wall-clock throughput within
-//! a relative tolerance, and the (deterministic) per-tenant p99
-//! turnaround within the same tolerance.
+//! threaded. The soak driver's `traffic` profile ([`crate::soak`])
+//! pushes it through the platform; its flat one-tenant form is the
+//! `chaos`/`uniform` workload.
 
-use std::fmt::Write as _;
-
-use dlaas_docstore::Value;
 use dlaas_gpu::{step_time_secs, DlModel, ExecEnv, Framework, GpuKind, TrainingConfig};
 use dlaas_sim::{SimDuration, SimRng};
 
@@ -243,150 +239,6 @@ pub fn generate(rng: &mut SimRng, cfg: &TrafficConfig, n: u64) -> Vec<Arrival> {
     out
 }
 
-/// Per-tenant turnaround summary for the byte-stable artifact.
-#[derive(Debug, Clone)]
-pub struct TenantSummary {
-    /// Tenant id.
-    pub tenant: String,
-    /// Jobs with an observed turnaround (reached a terminal status).
-    pub jobs: u64,
-    /// Turnaround quantiles in simulated seconds.
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-}
-
-/// Compares the fresh traffic artifacts against a committed baseline.
-///
-/// The baseline carries two kinds of entries:
-///
-/// * `workloads` — `events_per_wall_sec` per run, from the wall sidecar
-///   (`BENCH_traffic.wall.json`); the current rate must not fall more
-///   than `tolerance` below the baseline (machine-speed gate);
-/// * `tenant_p99` — per-tenant p99 turnaround per run, from the
-///   byte-stable `BENCH_traffic.json`; deterministic for a given seed,
-///   so a drift past `tolerance` means platform behavior changed
-///   (fairness gate).
-///
-/// Returns report lines on success or the violations on failure; either
-/// side failing to parse is a violation, not a pass.
-pub fn check_against_baseline(
-    wall_json: &str,
-    traffic_json: &str,
-    baseline_json: &str,
-    tolerance: f64,
-) -> Result<Vec<String>, Vec<String>> {
-    let mut report = Vec::new();
-    let mut violations = Vec::new();
-
-    let base = match Value::parse_json(baseline_json) {
-        Ok(v) => v,
-        Err(e) => return Err(vec![format!("baseline: unparseable JSON: {e:?}")]),
-    };
-
-    // Machine-speed gate, same contract as the engine bench.
-    if base.path("workloads").is_some() {
-        match crate::engine::check_against_baseline(wall_json, baseline_json, tolerance) {
-            Ok(lines) => report.extend(lines),
-            Err(v) => violations.extend(v),
-        }
-    }
-
-    // Fairness gate: per-tenant p99 per run, keyed "run/tenant".
-    if let Some(entries) = base.path("tenant_p99").and_then(Value::as_arr) {
-        let cur = match Value::parse_json(traffic_json) {
-            Ok(v) => v,
-            Err(e) => return Err(vec![format!("current: unparseable JSON: {e:?}")]),
-        };
-        for e in entries {
-            let (Some(run), Some(tenant), Some(base_p99)) = (
-                e.path("run").and_then(Value::as_str),
-                e.path("tenant").and_then(Value::as_str),
-                e.path("p99").and_then(Value::as_f64),
-            ) else {
-                violations.push(format!("baseline: malformed tenant_p99 entry: {e:?}"));
-                continue;
-            };
-            let cur_p99 = cur
-                .path("runs")
-                .and_then(Value::as_arr)
-                .and_then(|runs| {
-                    runs.iter()
-                        .find(|r| r.path("run").and_then(Value::as_str) == Some(run))
-                })
-                .and_then(|r| r.path("tenants"))
-                .and_then(Value::as_arr)
-                .and_then(|ts| {
-                    ts.iter()
-                        .find(|t| t.path("tenant").and_then(Value::as_str) == Some(tenant))
-                })
-                .and_then(|t| t.path("p99"))
-                .and_then(Value::as_f64);
-            let Some(cur_p99) = cur_p99 else {
-                violations.push(format!("{run}/{tenant}: missing from current run"));
-                continue;
-            };
-            let ceiling = base_p99 * (1.0 + tolerance);
-            let line = format!(
-                "{run}/{tenant}: p99 {cur_p99:.1}s vs baseline {base_p99:.1}s (ceiling {ceiling:.1}s)"
-            );
-            if cur_p99 > ceiling {
-                violations.push(format!("REGRESSION {line}"));
-            } else {
-                report.push(format!("ok {line}"));
-            }
-        }
-    }
-
-    if report.is_empty() && violations.is_empty() {
-        return Err(vec!["baseline: nothing to compare".into()]);
-    }
-    if violations.is_empty() {
-        Ok(report)
-    } else {
-        Err(violations)
-    }
-}
-
-/// Renders the committed baseline from a fresh pair of artifacts:
-/// `(run name, events_per_wall_sec)` plus per-run tenant summaries.
-pub fn render_baseline(
-    wall_rates: &[(String, f64)],
-    tenant_p99s: &[(String, String, f64)],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"traffic_soak-baseline\",\n  \"workloads\": [\n");
-    for (i, (name, rate)) in wall_rates.iter().enumerate() {
-        write!(
-            out,
-            "    {{\"name\": \"{name}\", \"events_per_wall_sec\": {rate:.1}}}"
-        )
-        .unwrap();
-        out.push_str(if i + 1 < wall_rates.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ],\n  \"tenant_p99\": [\n");
-    for (i, (run, tenant, p99)) in tenant_p99s.iter().enumerate() {
-        write!(
-            out,
-            "    {{\"run\": \"{run}\", \"tenant\": \"{tenant}\", \"p99\": {p99:.6}}}"
-        )
-        .unwrap();
-        out.push_str(if i + 1 < tenant_p99s.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,25 +361,47 @@ mod tests {
         assert!(cfg.quota_of(0, cap) > cfg.quota_of((cfg.whales + cfg.smalls - 1) as usize, cap));
     }
 
+    /// The traffic baseline holds wall-rate floors next to tenant p99
+    /// ceilings; the one gate checks both.
     #[test]
     fn baseline_check_gates_wall_rate_and_p99() {
-        let baseline = render_baseline(
-            &[("n1000".into(), 1000.0)],
-            &[("n1000".into(), "whale-0".into(), 120.0)],
+        let gate = |wall: &str, traffic: &str, base: &str| {
+            crate::artifact::check_against_baseline(&[wall, traffic], base, 0.10)
+        };
+        let tenants = |p99: f64| {
+            format!("{{\"runs\": [{{\"run\": \"n1000\", \"tenants\": [{{\"tenant\": \"whale-0\", \"p99\": {p99}}}]}}]}}")
+        };
+        let wall = |rate: f64| {
+            format!("{{\"workloads\": [{{\"name\": \"n1000\", \"events_per_wall_sec\": {rate}}}]}}")
+        };
+        let base = "{\"workloads\": [{\"name\": \"n1000\", \"events_per_wall_sec\": 1000.0}], \
+                    \"runs\": [{\"run\": \"n1000\", \"tenants\": [{\"tenant\": \"whale-0\", \"p99\": 120.0}]}]}";
+        let ok = gate(&wall(950.0), &tenants(125.0), base).expect("within tolerance");
+        assert_eq!(ok.len(), 2);
+
+        let v = gate(&wall(500.0), &tenants(125.0), base).expect_err("slow");
+        assert!(
+            v.iter().any(|l| l.starts_with("REGRESSION n1000:")),
+            "{v:?}"
         );
-        let wall = "{\"workloads\": [{\"name\": \"n1000\", \"events_per_wall_sec\": 950.0}]}";
-        let traffic = "{\"runs\": [{\"run\": \"n1000\", \"tenants\": [{\"tenant\": \"whale-0\", \"p99\": 125.0}]}]}";
-        check_against_baseline(wall, traffic, &baseline, 0.10).expect("within tolerance");
 
-        let slow = "{\"workloads\": [{\"name\": \"n1000\", \"events_per_wall_sec\": 500.0}]}";
-        let v = check_against_baseline(slow, traffic, &baseline, 0.10).expect_err("regressed");
-        assert!(v.iter().any(|l| l.contains("REGRESSION")));
+        let v = gate(&wall(950.0), &tenants(200.0), base).expect_err("starved");
+        assert!(
+            v.iter().any(|l| l.starts_with("REGRESSION n1000/whale-0")),
+            "{v:?}"
+        );
 
-        let starved = "{\"runs\": [{\"run\": \"n1000\", \"tenants\": [{\"tenant\": \"whale-0\", \"p99\": 200.0}]}]}";
-        let v = check_against_baseline(wall, starved, &baseline, 0.10).expect_err("p99 regressed");
-        assert!(v.iter().any(|l| l.contains("REGRESSION")));
+        assert!(
+            gate(&wall(950.0), "{\"runs\": []}", base).is_err(),
+            "missing tenant"
+        );
 
-        let missing = "{\"runs\": []}";
-        assert!(check_against_baseline(wall, missing, &baseline, 0.10).is_err());
+        // The committed baseline passes against its own figures and fails
+        // 20% past them in either direction.
+        let committed = include_str!("../../../BENCH_traffic.baseline.json");
+        let check = |cur: &str| crate::artifact::check_against_baseline(&[cur], committed, 0.10);
+        assert_eq!(check(committed).map(|r| r.len()), Ok(13));
+        assert!(check(&committed.replace("511595.4", "409276.3")).is_err());
+        assert!(check(&committed.replace("3578.275862", "4293.931034")).is_err());
     }
 }

@@ -82,7 +82,8 @@ fn different_seeds_diverge() {
 #[test]
 fn same_seed_fault_matrix_exposes_identical_metrics() {
     let fingerprint = |seed: u64| {
-        let run = dlaas_bench::matrix::sweep(seed, 1);
+        let kinds = dlaas_bench::matrix::FaultKind::all();
+        let run = dlaas_bench::matrix::sweep(&kinds, seed, 1, 1, None);
         let mut out = run.metrics.expose();
         for o in &run.outcomes {
             out.push_str(&o.describe());

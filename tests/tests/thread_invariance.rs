@@ -5,15 +5,17 @@
 //! change wall-clock, never bytes.
 
 use dlaas_bench::matrix;
+use dlaas_bench::runner::CampaignReport;
+use dlaas_bench::soak::{self, Profile};
 
 /// Everything byte-comparable a matrix campaign produces: the rendered
 /// JSON artifact, the aggregated metrics exposition, and every outcome's
 /// describe line, in order.
 fn matrix_fingerprint(base_seed: u64, seeds: u64, threads: usize) -> String {
-    let campaign = matrix::sweep_parallel(base_seed, seeds, threads, None);
+    let campaign = matrix::sweep(&matrix::FaultKind::all(), base_seed, seeds, threads, None);
     let mut out = matrix::render_matrix_json(base_seed, seeds, &campaign);
-    out.push_str(&campaign.run.metrics.expose());
-    for o in &campaign.run.outcomes {
+    out.push_str(&campaign.metrics.expose());
+    for o in &campaign.outcomes {
         out.push_str(&o.describe());
         out.push('\n');
     }
@@ -40,8 +42,8 @@ fn fault_matrix_is_byte_identical_at_any_thread_count() {
 
 #[test]
 fn chaos_soak_summaries_are_byte_identical_at_any_thread_count() {
-    let fingerprint = |threads: usize| {
-        let report = matrix::soak_parallel(710, 2, 1, threads, None);
+    let run = |threads: usize| soak::campaign(Profile::Chaos, 710, 2, &[1], None, threads);
+    let fingerprint = |report: &CampaignReport<soak::Run>| {
         let mut out = String::new();
         for r in &report.records {
             out.push_str(&r.describe());
@@ -53,9 +55,17 @@ fn chaos_soak_summaries_are_byte_identical_at_any_thread_count() {
         }
         out
     };
+    let (one, eight) = (run(1), run(8));
     assert_eq!(
-        fingerprint(1),
-        fingerprint(8),
+        fingerprint(&one),
+        fingerprint(&eight),
         "chaos-soak campaign diverged between --threads 1 and --threads 8"
     );
+    // Every soak ends clean: jobs went in, none is left in limbo, no
+    // invariant broke during the run or at its end.
+    assert!(one.abnormal().is_empty(), "{:?}", one.failure_records());
+    assert_eq!(one.results().count(), 2);
+    for s in one.results() {
+        assert!(s.submitted > 0 && s.clean(), "dirty soak: {}", s.describe());
+    }
 }
