@@ -17,7 +17,6 @@ fn bench_sim_events(c: &mut Criterion) {
     c.bench_function("sim/100k_chained_events", |b| {
         b.iter(|| {
             let mut sim = Sim::new(1);
-            sim.trace_mut().set_enabled(false);
             fn chain(sim: &mut Sim, left: u32) {
                 if left > 0 {
                     sim.schedule_in(SimDuration::from_micros(10), move |sim| {
@@ -35,7 +34,6 @@ fn bench_raft(c: &mut Criterion) {
     c.bench_function("raft/1000_commits_3nodes", |b| {
         b.iter(|| {
             let mut sim = Sim::new(7);
-            sim.trace_mut().set_enabled(false);
             let cluster: RaftCluster<u64> = RaftCluster::new(
                 &mut sim,
                 3,
@@ -61,7 +59,6 @@ fn bench_etcd(c: &mut Criterion) {
     c.bench_function("etcd/200_puts_roundtrip", |b| {
         b.iter(|| {
             let mut sim = Sim::new(9);
-            sim.trace_mut().set_enabled(false);
             let etcd = EtcdCluster::new_3way(&mut sim);
             etcd.expect_leader(&mut sim, SimDuration::from_secs(10));
             let client = etcd.client("bench");
@@ -111,7 +108,6 @@ fn bench_kube(c: &mut Criterion) {
     c.bench_function("kube/schedule_200_pods", |b| {
         b.iter(|| {
             let mut sim = Sim::new(3);
-            sim.trace_mut().set_enabled(false);
             let registry = BehaviorRegistry::new();
             registry.register_noop("pause");
             let kube = Kube::new(&mut sim, KubeConfig::default(), registry);

@@ -157,14 +157,18 @@ fn figures(doc: &Value) -> Vec<(String, bool, Option<f64>)> {
 /// p99s no more than `tolerance` above.
 ///
 /// Returns one report line per figure on success, or the violations.
-/// Unparseable JSON on either side, a figure without a value or missing
-/// from the current run, and a baseline with nothing to compare are all
-/// violations: the gate never passes by failing to read.
+/// A tolerance outside `[0, 1)` (NaN included), unparseable JSON on
+/// either side, a figure without a value or missing from the current
+/// run, and a baseline with nothing to compare are all violations: the
+/// gate never passes by failing to read.
 pub fn check_against_baseline(
     current: &[&str],
     baseline: &str,
     tolerance: f64,
 ) -> Result<Vec<String>, Vec<String>> {
+    if !(0.0..1.0).contains(&tolerance) {
+        return Err(vec![format!("tolerance {tolerance} is outside [0, 1)")]);
+    }
     let parse = |which: &str, s: &str| {
         Value::parse_json(s).map_err(|e| vec![format!("{which}: unparseable JSON: {e:?}")])
     };

@@ -63,7 +63,6 @@ pub fn kernel_churn(seed: u64, actors: u64, target_events: u64) -> EngineRun {
     }
 
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     for i in 0..actors {
         sim.schedule_in(SimDuration::from_micros(i), fire);
     }
@@ -145,5 +144,13 @@ mod tests {
         assert!(gate(&cur, "not json").is_err(), "bad baseline");
         assert!(gate(&cur, "{}").is_err(), "nothing to compare");
         assert!(gate(&cur, "{\"workloads\": []}").is_err(), "empty");
+        // `base` against itself passes at 0.10, so only the tolerance fails.
+        assert!(gate(&base, &base).is_ok());
+        for t in [f64::NAN, f64::INFINITY, -0.1, 1.0] {
+            assert!(
+                check_against_baseline(&[&base], &base, t).is_err(),
+                "tolerance {t}"
+            );
+        }
     }
 }

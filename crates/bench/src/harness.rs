@@ -63,11 +63,10 @@ impl Rig {
         }
     }
 
-    /// Boots the rig on a fresh untraced simulation of `seed` and returns
+    /// Boots the rig on a fresh simulation of `seed` and returns
     /// once the platform is ready with its tenants and buckets in place.
     pub fn boot(&self, seed: u64) -> (Sim, DlaasPlatform) {
         let mut sim = Sim::new(seed);
-        sim.trace_mut().set_enabled(false);
         let p = DlaasPlatform::new(&mut sim, self.cluster.clone());
         p.run_until_ready(&mut sim, SimDuration::from_secs(60));
         for t in &self.tenants {

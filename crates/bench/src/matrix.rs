@@ -349,16 +349,10 @@ fn cell_trial(seed: u64, kind: FaultKind, point: InjectionPoint) -> TrialRun<Cel
     let pred = point.predicate(&platform, &job);
     let p2 = platform.clone();
     let job2 = job.clone();
-    when(
-        &mut sim,
-        SimDuration::from_millis(200),
-        format!("{kind} at {point}"),
-        pred,
-        move |sim| {
-            f2.set(Some(sim.now()));
-            kind.inject(sim, &p2, &job2);
-        },
-    );
+    when(&mut sim, SimDuration::from_millis(200), pred, move |sim| {
+        f2.set(Some(sim.now()));
+        kind.inject(sim, &p2, &job2);
+    });
 
     let status = platform.wait_for_status(
         &mut sim,

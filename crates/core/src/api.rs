@@ -39,10 +39,9 @@ fn active_statuses() -> Vec<Value> {
 }
 
 /// Behavior factory for the API service container.
-pub fn api_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
+pub fn api_behavior(h: Handles, _sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let addr = pod_addr(&ctx.pod);
     let meta = Rc::new(h.meta(&ctx.pod));
-    ctx.record(sim, "API service instance up");
 
     let h2 = h.clone();
     let meta2 = meta.clone();
@@ -418,7 +417,6 @@ fn record_queued(
         };
         sim.metrics()
             .inc(crate::metrics::API_SUBMISSIONS, &[("outcome", "queued")]);
-        sim.record("api", format!("job {id} over quota; queued"));
         responder.ok(sim, CoreResponse::Submitted { job: id });
     });
 }
@@ -461,7 +459,6 @@ fn record_and_deploy(
             &[("tenant", &tenant_id)],
             0.0,
         );
-        sim.record("api", format!("job {id} recorded; acknowledging"));
         responder.ok(sim, CoreResponse::Submitted { job: id.clone() });
 
         let resolver = h.kube.service_resolver(LCM_SERVICE);

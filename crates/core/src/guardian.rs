@@ -93,7 +93,6 @@ pub fn guardian_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup 
         tenant: RefCell::new(None),
         submitted_us: Cell::new(0),
     });
-    g.ctx.record(sim, "guardian up; loading job record");
     let etcd_for_cleanup = g.etcd.clone();
     g.clone().boot(sim);
     // Each incarnation creates a fresh etcd client; close it on exit or
@@ -111,8 +110,6 @@ impl Guardian {
     fn manifest_or_abort(self: &Rc<Self>, sim: &mut Sim) -> Option<TrainingManifest> {
         let m = self.manifest.borrow().clone();
         if m.is_none() {
-            self.ctx
-                .record(sim, "manifest missing mid-deploy; aborting incarnation");
             self.ctx.exit(sim, 1);
         }
         m
@@ -141,13 +138,10 @@ impl Guardian {
                     Ok(None) => {
                         // No such job: nothing to guard. Exit non-zero so the
                         // K8s Job eventually gives up.
-                        me.ctx.record(sim, "job record missing; aborting");
                         me.ctx.exit(sim, 1);
                         return;
                     }
-                    Err(e) => {
-                        me.ctx
-                            .record(sim, format!("metadata store unavailable: {e}"));
+                    Err(_) => {
                         me.ctx.exit(sim, 1);
                         return;
                     }
@@ -172,8 +166,7 @@ impl Guardian {
                     .and_then(Value::as_str)
                     .and_then(|s| TrainingManifest::from_json(s).ok());
                 let Some(manifest) = manifest else {
-                    me.ctx.record(sim, "corrupt manifest; failing job");
-                    me.fail_job(sim, "corrupt manifest");
+                    me.fail_job(sim);
                     return;
                 };
                 *me.manifest.borrow_mut() = Some(manifest);
@@ -181,8 +174,6 @@ impl Guardian {
                 if status.is_terminal() {
                     // We restarted after the job ended: just make sure nothing
                     // is left behind.
-                    me.ctx
-                        .record(sim, "job already terminal; cleaning leftovers");
                     teardown_job(sim, &me.h, &me.job, false);
                     me.ctx.exit(sim, 0);
                     return;
@@ -216,7 +207,6 @@ impl Guardian {
                             |_sim, _r| {},
                         );
                     }
-                    me.ctx.record(sim, "resuming monitoring of deployed job");
                     me.start_monitoring(sim);
                     return;
                 }
@@ -225,12 +215,8 @@ impl Guardian {
                 let attempts = doc.path("attempts").and_then(Value::as_i64).unwrap_or(0) as u32 + 1;
                 let max = me.h.config.deploy_max_attempts;
                 if attempts > max {
-                    me.ctx.record(
-                        sim,
-                        format!("deploy attempt {attempts} exceeds limit {max}; giving up"),
-                    );
                     sim.metrics().inc(crate::metrics::GUARDIAN_GAVE_UP, &[]);
-                    me.fail_job(sim, "deployment retries exhausted");
+                    me.fail_job(sim);
                     return;
                 }
                 let me2 = me.clone();
@@ -251,15 +237,9 @@ impl Guardian {
                             // retry guarantee ("for a configurable number of
                             // times", §III-d) rests on this write. Abort and
                             // let K8s restart us against a healthy store.
-                            me2.ctx.record(
-                                sim,
-                                "failed to record deploy attempt; aborting incarnation",
-                            );
                             me2.ctx.exit(sim, 1);
                             return;
                         }
-                        me2.ctx
-                            .record(sim, format!("starting deployment attempt {attempts}"));
                         sim.metrics()
                             .inc(crate::metrics::GUARDIAN_DEPLOY_ATTEMPTS, &[]);
                         // The first attempt has nothing to roll back; only
@@ -303,20 +283,15 @@ impl Guardian {
 
     /// Marks the job FAILED, tears everything down and exits cleanly (so
     /// the K8s Job stops retrying us).
-    fn fail_job(self: &Rc<Self>, sim: &mut Sim, reason: &str) {
+    fn fail_job(self: &Rc<Self>, sim: &mut Sim) {
         sim.metrics().inc(crate::metrics::GUARDIAN_JOBS_FAILED, &[]);
         let me = self.clone();
-        let reason = reason.to_owned();
         self.meta
             .clone()
             .advance_status(sim, &self.job, JobStatus::Failed, move |sim, r| {
                 if matches!(r, Ok(true)) {
                     me.observe_turnaround(sim);
                 }
-                sim.record(
-                    format!("guardian/{}", me.job),
-                    format!("job failed: {reason}"),
-                );
                 teardown_job(sim, &me.h, &me.job, false);
                 me.ctx.exit(sim, 0);
             });
@@ -365,16 +340,13 @@ impl Guardian {
             .nfs
             .mount(&vol)
             .and_then(|mount| mount.write_file(paths::NFS_JOBSPEC, manifest.to_json()));
-        if let Err(e) = staged {
+        if staged.is_err() {
             // NFS outage window: abort this incarnation instead of
             // panicking. K8s restarts us and the retry is bounded by
             // deploy_max_attempts like every other mid-deploy failure.
-            self.ctx
-                .record(sim, format!("volume provisioning failed ({e}); aborting"));
             self.ctx.exit(sim, 1);
             return;
         }
-        self.ctx.record(sim, "volume provisioned, jobspec staged");
         let me = self.clone();
         sim.schedule_in(self.step_latency(), move |sim| {
             if me.alive() {
@@ -404,7 +376,6 @@ impl Guardian {
         self.h
             .kube
             .create_deployment(sim, &paths::helper_deployment(&self.job), 1, pod);
-        self.ctx.record(sim, "helper pod created");
         let me = self.clone();
         sim.schedule_in(self.step_latency(), move |sim| {
             if me.alive() {
@@ -438,7 +409,6 @@ impl Guardian {
         self.h
             .kube
             .create_statefulset(sim, &paths::learner_set(&self.job), manifest.learners, pod);
-        self.ctx.record(sim, "learner statefulset created");
         let me = self.clone();
         sim.schedule_in(self.step_latency(), move |sim| {
             if me.alive() {
@@ -471,8 +441,6 @@ impl Guardian {
             to_services: vec![],
             exempt_same: Some("job".into()),
         });
-        self.ctx
-            .record(sim, "network policies applied; deployment complete");
         let me = self.clone();
         sim.schedule_in(self.step_latency(), move |sim| {
             if me.alive() {
@@ -511,7 +479,6 @@ impl Guardian {
             me.poll(sim);
             true
         });
-        self.ctx.record(sim, "monitoring started");
     }
 
     /// One poll round: refresh the job's etcd snapshot and check for
@@ -578,8 +545,6 @@ impl Guardian {
                         .and_then(|s| s.parse().ok());
                     if status.is_some_and(super::job::JobStatus::is_terminal) {
                         me.mon.borrow_mut().finished = true;
-                        me.ctx
-                            .record(sim, "job reached terminal state externally; exiting");
                         me.ctx.exit(sim, 0);
                     }
                 }
@@ -677,11 +642,9 @@ impl Guardian {
         match act {
             Act::None => {}
             Act::Fail => {
-                self.ctx.record(sim, "a learner failed permanently");
-                self.fail_job(sim, "learner failure budget exhausted");
+                self.fail_job(sim);
             }
             Act::Processing => {
-                self.ctx.record(sim, "all set: job is PROCESSING");
                 if let Some(started_us) = self.deploy_started_us.take() {
                     let elapsed = sim.now().as_micros().saturating_sub(started_us);
                     sim.metrics().observe_duration_us(
@@ -698,8 +661,6 @@ impl Guardian {
                 );
             }
             Act::Storing => {
-                self.ctx
-                    .record(sim, "learners done; starting result storage");
                 let me = self.clone();
                 self.meta.clone().advance_status(
                     sim,
@@ -719,7 +680,6 @@ impl Guardian {
                 );
             }
             Act::Complete(throughput) => {
-                self.ctx.record(sim, "results stored; completing job");
                 sim.metrics()
                     .inc(crate::metrics::GUARDIAN_JOBS_COMPLETED, &[]);
                 let me = self.clone();

@@ -67,7 +67,6 @@ fn try_bootstrap(
         }
     }
     if attempt > 600 {
-        ctx.record(sim, "giving up waiting for job volume");
         return;
     }
     sim.schedule_in(SimDuration::from_millis(500), move |sim| {
@@ -103,7 +102,6 @@ pub fn controller_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanu
     let ctx2 = ctx.clone();
     let etcd_for_cleanup = etcd.clone();
     with_jobspec(&h, sim, &ctx, move |sim, mount, manifest| {
-        ctx2.record(sim, "controller online; polling learner files");
         let state = Rc::new(RefCell::new(ControllerState::default()));
         let alive = ctx2.alive_flag();
         dlaas_sim::every(sim, poll, move |sim, _n| {
@@ -290,14 +288,9 @@ pub fn load_data_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup
     let h2 = h.clone();
     with_jobspec(&h, sim, &ctx, move |sim, mount, manifest| {
         if mount.exists(paths::NFS_DATA_LOADED) {
-            ctx2.record(sim, "data already staged (previous incarnation)");
             ctx2.exit(sim, 0);
             return;
         }
-        ctx2.record(
-            sim,
-            format!("staging {} bytes of training data", manifest.data_bytes),
-        );
         download_data(h2, sim, ctx2, mount, manifest, 0);
     });
     Box::new(|_sim| {})
@@ -332,15 +325,9 @@ fn download_data(
             match r {
                 Ok(_) if mount.write_file(paths::NFS_DATA_LOADED, "loaded").is_ok() => {
                     sim.metrics().inc(crate::metrics::DATA_STAGED, &[]);
-                    ctx2.record(sim, "training data staged");
                     ctx2.exit(sim, 0);
                 }
-                r => {
-                    let why = match r {
-                        Ok(_) => "loaded marker write failed".to_owned(),
-                        Err(e) => format!("data fetch failed ({e})"),
-                    };
-                    ctx2.record(sim, format!("{why}; retrying"));
+                _ => {
                     sim.schedule_in(SimDuration::from_secs(5), move |sim| {
                         download_data(h, sim, ctx2, mount, manifest, attempt + 1);
                     });
@@ -363,7 +350,6 @@ pub fn log_collector_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cle
     let objstore = h.objstore.clone();
     let ctx2 = ctx.clone();
     with_jobspec(&h, sim, &ctx, move |sim, mount, manifest| {
-        ctx2.record(sim, "log collector online");
         // lines already uploaded per learner (in-memory: a restart simply
         // re-uploads from scratch, which is idempotent).
         let uploaded: Rc<RefCell<BTreeMap<u32, usize>>> = Rc::new(RefCell::new(BTreeMap::new()));
@@ -411,7 +397,6 @@ pub fn store_results_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cle
     let ctx2 = ctx.clone();
     with_jobspec(&h, sim, &ctx, move |sim, mount, manifest| {
         if mount.exists(paths::NFS_STORE_DONE) {
-            ctx2.record(sim, "results already stored");
             ctx2.exit(sim, 0);
             return;
         }
@@ -446,15 +431,9 @@ pub fn store_results_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cle
                     match r {
                         Ok(()) if mount2.write_file(paths::NFS_STORE_DONE, "done").is_ok() => {
                             sim.metrics().inc(crate::metrics::RESULTS_STORED, &[]);
-                            ctx3.record(sim, "results uploaded");
                             ctx3.exit(sim, 0);
                         }
-                        r => {
-                            let why = match r {
-                                Ok(()) => "done marker write failed".to_owned(),
-                                Err(e) => format!("result upload failed: {e}"),
-                            };
-                            ctx3.record(sim, format!("{why}; will retry"));
+                        _ => {
                             busy2.set(false); // timer retries on a later tick
                         }
                     }

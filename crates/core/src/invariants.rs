@@ -39,8 +39,8 @@
 //!
 //! [`check_all`] evaluates every invariant against the current state of a
 //! [`DlaasPlatform`]; [`InvariantMonitor`] re-checks periodically inside
-//! a running simulation and surfaces *new* violations through the trace
-//! and the [`crate::metrics::INVARIANT_VIOLATIONS`] counter. The fault
+//! a running simulation and surfaces *new* violations through the
+//! [`crate::metrics::INVARIANT_VIOLATIONS`] counter. The fault
 //! matrix (dlaas-bench `fault_matrix`) runs the checker after every
 //! fault-injection trial.
 
@@ -466,10 +466,10 @@ fn check_leaks(
     }
 }
 
-/// Periodic in-simulation checker: re-runs [`check_all`] every `period`,
-/// records each *new* violation on the trace topic `invariants` and
-/// counts it in [`crate::metrics::INVARIANT_VIOLATIONS`] (labelled by
-/// invariant name). Violations are deduplicated by (job, invariant) so a
+/// Periodic in-simulation checker: re-runs [`check_all`] every `period`
+/// and counts each *new* violation in
+/// [`crate::metrics::INVARIANT_VIOLATIONS`] (labelled by invariant
+/// name). Violations are deduplicated by (job, invariant) so a
 /// persistent leak is reported once, not once per period.
 pub struct InvariantMonitor {
     seen: Rc<RefCell<BTreeSet<(String, &'static str)>>>,
@@ -516,7 +516,6 @@ impl InvariantMonitor {
                 }
                 let key = (v.job.as_str().to_owned(), v.invariant);
                 if seen2.borrow_mut().insert(key) {
-                    sim.record("invariants", format!("VIOLATION {v}"));
                     sim.metrics().inc(
                         crate::metrics::INVARIANT_VIOLATIONS,
                         &[("invariant", v.invariant)],

@@ -80,7 +80,6 @@ const ARBITER_SHARD: u32 = 0;
 pub fn lcm_behavior(h: Handles, sim: &mut Sim, ctx: ProcessCtx) -> Cleanup {
     let addr = pod_addr(&ctx.pod);
     let meta = h.meta(&ctx.pod);
-    ctx.record(sim, "LCM instance up");
 
     let h2 = h.clone();
     let ctx2 = ctx.clone();
@@ -264,7 +263,6 @@ fn ensure_lease(sim: &mut Sim, rep: &Rc<Replica>) {
                 o.lease = Some(id);
                 o.fence = sent + ttl;
             }
-            sim.record("lcm", format!("{} holds lease {id}", rep2.pod));
             arm_fence(sim, &rep2);
             reconcile(sim, &rep2);
         }
@@ -371,15 +369,6 @@ fn drop_ownership(sim: &mut Sim, rep: &Rc<Replica>, reason: &'static str) {
         std::mem::take(&mut o.owned)
     };
     rep.h.shard_tracker.release_all(sim, &rep.pod);
-    if !dropped.is_empty() {
-        sim.record(
-            "lcm",
-            format!(
-                "{} lost its lease ({reason}); released shards {dropped:?}",
-                rep.pod
-            ),
-        );
-    }
     for _ in &dropped {
         sim.metrics()
             .inc(crate::metrics::LCM_SHARD_LOSSES, &[("reason", reason)]);
@@ -419,10 +408,6 @@ fn try_acquire(sim: &mut Sim, rep: &Rc<Replica>, shard: u32, trigger: &'static s
             };
             if claimed {
                 rep2.h.shard_tracker.claim(sim, shard, &rep2.pod);
-                sim.record(
-                    "lcm",
-                    format!("{} acquired shard {shard} ({trigger})", rep2.pod),
-                );
                 sim.metrics().inc(
                     crate::metrics::LCM_SHARD_ACQUISITIONS,
                     &[("trigger", trigger)],
@@ -491,7 +476,6 @@ pub(crate) fn ensure_guardian(sim: &mut Sim, h: &Handles, job: &JobId) {
     if h.kube.job_status(&name).is_some() {
         return;
     }
-    sim.record("lcm", format!("creating guardian for {job}"));
     sim.metrics()
         .inc(crate::metrics::LCM_GUARDIANS_CREATED, &[]);
     let pod = PodSpec::new(
@@ -519,7 +503,6 @@ pub(crate) fn ensure_guardian(sim: &mut Sim, h: &Handles, job: &JobId) {
 /// and the job's etcd keys; optionally the Guardian K8s Job itself.
 /// Results and logs in the object store are deliberately kept.
 pub(crate) fn teardown_job(sim: &mut Sim, h: &Handles, job: &JobId, delete_guardian: bool) {
-    sim.record("lcm", format!("tearing down resources of {job}"));
     sim.metrics().inc(crate::metrics::LCM_TEARDOWNS, &[]);
     h.kube.delete_statefulset(sim, &paths::learner_set(job));
     h.kube
@@ -846,10 +829,6 @@ fn admit(
                 &[("tenant", &tenant)],
                 waited as f64,
             );
-            sim.record(
-                "lcm",
-                format!("arbiter admitted {job} (tenant {tenant}, waited {waited}us)"),
-            );
             ensure_guardian(sim, &h2, &job);
         });
     }
@@ -890,7 +869,6 @@ fn sweep(
         let age = sim.now().saturating_duration_since(submitted);
         if age >= redeploy_after && h.kube.job_status(&paths::guardian_job(&job)).is_none() {
             note_sweep(sim, rep, &job);
-            sim.record("lcm", format!("scan: re-deploying stranded job {job}"));
             sim.metrics().inc(crate::metrics::LCM_SCAN_REDEPLOYS, &[]);
             ensure_guardian(sim, h, &job);
         }
@@ -920,13 +898,7 @@ fn sweep(
         }
     }
     for (job, guardian_gave_up) in to_fail {
-        let reason = if guardian_gave_up {
-            "guardian gave up"
-        } else {
-            "deploy timeout (resources unschedulable?)"
-        };
         note_sweep(sim, rep, &job);
-        sim.record("lcm", format!("scan: failing {job}: {reason}"));
         let reason_label = if guardian_gave_up {
             "guardian_gave_up"
         } else {
@@ -969,7 +941,6 @@ fn sweep(
         let has_volume = h.nfs.find_volume(&paths::volume(&job)).is_some();
         if has_pods || has_volume {
             note_sweep(sim, rep, &job);
-            sim.record("lcm", format!("scan: GC leftovers of terminal job {job}"));
             sim.metrics().inc(crate::metrics::LCM_SCAN_GC, &[]);
             teardown_job(sim, h, &job, true);
         } else {
@@ -982,7 +953,6 @@ fn sweep(
                 match r {
                     Ok(pairs) if !pairs.is_empty() => {
                         note_sweep(sim, &rep3, &job);
-                        sim.record("lcm", format!("scan: GC etcd keys of {job}"));
                         sim.metrics().inc(crate::metrics::LCM_SCAN_GC, &[]);
                         h6.etcd_gc.delete_prefix(sim, prefix2, |_sim, _r| {});
                         // Keep watching: next tick re-probes until clean.

@@ -85,7 +85,6 @@ fn bootstrap(h: Handles, sim: &mut Sim, ctx: ProcessCtx, job: JobId, ordinal: u3
     })();
     match ready {
         None if attempt > 240 => {
-            ctx.record(sim, "job volume never appeared; exiting");
             ctx.exit(sim, 1);
         }
         None => {
@@ -139,7 +138,6 @@ fn start(
             ),
         );
     }
-    ctx.record(sim, format!("learner {ordinal} start #{starts}"));
 
     // The measured training rate for this job: the performance model plus
     // a per-job run-to-run jitter (identical across restarts — it is a
@@ -483,15 +481,9 @@ impl Learner {
             });
         match written {
             Ok(_) => {
-                self.ctx
-                    .record(sim, format!("learner {} done", self.ordinal));
                 self.ctx.exit(sim, 0);
             }
-            Err(e) => {
-                self.ctx.record(
-                    sim,
-                    format!("completion markers not durable ({e}); retrying"),
-                );
+            Err(_) => {
                 let me = self.clone();
                 sim.schedule_in(SimDuration::from_secs(2), move |sim| {
                     me.finish_markers(sim, throughput);

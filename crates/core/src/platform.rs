@@ -453,15 +453,13 @@ impl DlaasPlatform {
     /// the given delay (mimicking the K8s restart of the MongoDB pod).
     pub fn crash_mongo(&self, sim: &mut Sim, auto_restart: Option<SimDuration>) {
         self.mongo.borrow().crash();
-        sim.record("platform", "mongodb crashed");
         if let Some(d) = auto_restart {
             let journal = self.mongo.borrow().journal();
             let rpc = self.mongo_rpc.clone();
             let slot = self.mongo.clone();
-            sim.schedule_in(d, move |sim| {
+            sim.schedule_in(d, move |_| {
                 let server = MongoServer::recover(rpc, journal, MongoTimings::default());
                 *slot.borrow_mut() = server;
-                sim.record("platform", "mongodb recovered from journal");
             });
         }
     }
@@ -470,23 +468,14 @@ impl DlaasPlatform {
     /// (clients time out and retry) while reads keep serving. A softer
     /// fault than [`DlaasPlatform::crash_mongo`] — it exercises exactly
     /// the paths that must notice an *unacknowledged* write.
-    pub fn set_mongo_write_failures(&self, sim: &mut Sim, fail: bool) {
+    pub fn set_mongo_write_failures(&self, fail: bool) {
         self.mongo.borrow().set_fail_writes(fail);
-        sim.record(
-            "platform",
-            if fail {
-                "mongodb write stall begins"
-            } else {
-                "mongodb write stall ends"
-            },
-        );
     }
 
     /// Restarts the metadata store immediately from its journal.
-    pub fn restart_mongo(&self, sim: &mut Sim) {
+    pub fn restart_mongo(&self) {
         let journal = self.mongo.borrow().journal();
         let server = MongoServer::recover(self.mongo_rpc.clone(), journal, MongoTimings::default());
         *self.mongo.borrow_mut() = server;
-        sim.record("platform", "mongodb recovered from journal");
     }
 }

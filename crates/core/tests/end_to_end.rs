@@ -13,7 +13,6 @@ const KEY: &str = "key-acme";
 
 fn boot(seed: u64) -> (Sim, DlaasPlatform) {
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     let platform = DlaasPlatform::bootstrapped(&mut sim);
     platform
         .add_tenant(&Tenant::new("acme", KEY, 64))

@@ -86,7 +86,6 @@ proptest! {
         faults in proptest::collection::vec((victim_strategy(), 10..240u16), 1..6),
     ) {
         let mut sim = Sim::new(seed);
-        sim.trace_mut().set_enabled(false);
         let platform = DlaasPlatform::bootstrapped(&mut sim);
         platform.add_tenant(&Tenant::new("prop", KEY, 0)).expect("bootstrap tenant insert");
         platform.seed_dataset("prop-data", "d/", 1_000_000_000);

@@ -9,7 +9,6 @@ use dlaas_sim::{Sim, SimDuration};
 
 fn boot(seed: u64) -> (Sim, EtcdCluster) {
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     let etcd = EtcdCluster::new_3way(&mut sim);
     etcd.expect_leader(&mut sim, SimDuration::from_secs(10));
     sim.run_for(SimDuration::from_secs(1));
@@ -339,7 +338,6 @@ fn status_update_pattern_controller_to_guardian() {
 #[test]
 fn five_node_cluster_tolerates_two_crashes() {
     let mut sim = Sim::new(41);
-    sim.trace_mut().set_enabled(false);
     let etcd = dlaas_etcd::EtcdCluster::new(
         &mut sim,
         5,

@@ -145,7 +145,6 @@ impl FaultPlan {
             let kube = kube.clone();
             let at = t.max(sim.now());
             sim.schedule_at(at, move |sim| {
-                sim.record("faults", format!("injecting: {action}"));
                 action.apply(sim, &kube);
             });
         }
@@ -163,18 +162,15 @@ impl FaultPlan {
 pub fn when(
     sim: &mut Sim,
     period: SimDuration,
-    label: impl Into<String>,
     mut pred: impl FnMut(&Sim) -> bool + 'static,
     action: impl FnOnce(&mut Sim) + 'static,
 ) -> TimerHandle {
-    let label = label.into();
     let mut action = Some(action);
     dlaas_sim::every(sim, period, move |sim, _n| {
         if !pred(sim) {
             return true;
         }
         if let Some(act) = action.take() {
-            sim.record("faults", format!("trigger fired: {label}"));
             act(sim);
         }
         false
@@ -190,14 +186,9 @@ pub fn partition_window<M: 'static>(
     groups: Vec<Vec<Addr>>,
     duration: SimDuration,
 ) {
-    sim.record(
-        "faults",
-        format!("partition start: {} groups for {duration:?}", groups.len()),
-    );
     net.partition(groups);
     let net = net.clone();
-    sim.schedule_in(duration, move |sim| {
-        sim.record("faults", "partition healed");
+    sim.schedule_in(duration, move |_| {
         net.heal();
     });
 }
@@ -211,11 +202,9 @@ pub fn latency_window<M: 'static>(
     duration: SimDuration,
 ) {
     let restore = net.latency();
-    sim.record("faults", format!("latency degradation for {duration:?}"));
     net.set_latency(model);
     let net = net.clone();
-    sim.schedule_in(duration, move |sim| {
-        sim.record("faults", "latency restored");
+    sim.schedule_in(duration, move |_| {
         net.set_latency(restore);
     });
 }
@@ -224,11 +213,9 @@ pub fn latency_window<M: 'static>(
 /// Mounted handles survive the outage; only operations during the window
 /// fail (see `dlaas_sharedfs::NfsError::Unavailable`).
 pub fn nfs_outage_window(sim: &mut Sim, nfs: &NfsServer, duration: SimDuration) {
-    sim.record("faults", format!("NFS outage for {duration:?}"));
     nfs.set_available(false);
     let nfs = nfs.clone();
-    sim.schedule_in(duration, move |sim| {
-        sim.record("faults", "NFS restored");
+    sim.schedule_in(duration, move |_| {
         nfs.set_available(true);
     });
 }
@@ -357,7 +344,6 @@ impl ChaosMonkey {
                 .filter(|p| kube.pod_phase(p) == Some(PodPhase::Running))
                 .collect();
             if let Some(victim) = rng.choose(&candidates).cloned() {
-                sim.record("chaos-monkey", format!("crashing {victim}"));
                 kube.crash_pod(sim, &victim);
             }
             true
@@ -380,7 +366,6 @@ mod tests {
 
     fn boot(seed: u64) -> (Sim, Kube) {
         let mut sim = Sim::new(seed);
-        sim.trace_mut().set_enabled(false);
         let registry = BehaviorRegistry::new();
         registry.register_noop("pause");
         let kube = Kube::new(&mut sim, KubeConfig::default(), registry);
@@ -470,7 +455,6 @@ mod tests {
         // succeeds if the crash was applied first, so insertion order is
         // directly observable through the node coming back up.
         let mut sim = Sim::new(11);
-        sim.trace_mut().set_enabled(false);
         let registry = BehaviorRegistry::new();
         registry.register_noop("pause");
         let kube = Kube::new(&mut sim, KubeConfig::default(), registry);
@@ -526,7 +510,6 @@ mod tests {
         when(
             &mut sim,
             SimDuration::from_millis(100),
-            "svc-0 ready",
             move |sim| k.pod_ready(sim, "svc-0"),
             move |_sim| fired2.set(fired2.get() + 1),
         );
@@ -544,7 +527,6 @@ mod tests {
         let handle = when(
             &mut sim,
             SimDuration::from_secs(1),
-            "after 5s",
             |sim| sim.now() >= SimTime::from_secs(5),
             move |_sim| fired2.set(true),
         );
@@ -559,7 +541,6 @@ mod tests {
         use std::cell::Cell;
         use std::rc::Rc;
         let mut sim = Sim::new(15);
-        sim.trace_mut().set_enabled(false);
         let net: Net<&'static str> = Net::new(
             &mut sim,
             dlaas_net::LatencyModel::Fixed(SimDuration::from_millis(1)),
@@ -586,7 +567,6 @@ mod tests {
     #[test]
     fn latency_window_restores_previous_model() {
         let mut sim = Sim::new(16);
-        sim.trace_mut().set_enabled(false);
         let base = dlaas_net::LatencyModel::Fixed(SimDuration::from_millis(1));
         let net: Net<&'static str> = Net::new(&mut sim, base.clone());
         latency_window(
@@ -606,7 +586,6 @@ mod tests {
     #[test]
     fn nfs_outage_window_restores_availability() {
         let mut sim = Sim::new(17);
-        sim.trace_mut().set_enabled(false);
         let nfs = NfsServer::new();
         let vol = nfs.create_volume("v");
         let mount = nfs.mount(&vol).unwrap();

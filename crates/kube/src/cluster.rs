@@ -280,7 +280,6 @@ impl Kube {
     // ------------------------------------------------------------------
 
     fn event(&self, sim: &mut Sim, object: String, reason: &str, message: String) {
-        sim.record(format!("kube/{object}"), format!("{reason}: {message}"));
         let cached = self.state.borrow().event_counters.get(reason).cloned();
         match cached {
             Some(h) => h.inc(),

@@ -105,12 +105,6 @@ impl ProcessCtx {
             hook(sim, code);
         }
     }
-
-    /// Emits a trace record attributed to this process.
-    pub fn record(&self, sim: &mut Sim, message: impl Into<String>) {
-        let who = format!("{}/{}", self.pod, self.container);
-        sim.record(who, message);
-    }
 }
 
 /// Cleanup closure returned by a behavior factory; run when the process

@@ -13,7 +13,6 @@ use dlaas_sim::{Sim, SimDuration, SimTime};
 
 fn boot(seed: u64) -> (Sim, Kube, BehaviorRegistry) {
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     let registry = BehaviorRegistry::new();
     registry.register_noop("pause");
     let kube = Kube::new(&mut sim, KubeConfig::default(), registry.clone());

@@ -73,7 +73,6 @@ fn node_name(ix: u8) -> &'static str {
 
 fn boot(seed: u64) -> (Sim, Kube) {
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     let registry = BehaviorRegistry::new();
     registry.register_noop("pause");
     let kube = Kube::new(&mut sim, KubeConfig::default(), registry);

@@ -25,8 +25,8 @@ use crate::rules::Finding;
 pub const SINK_CRATES: &[&str] = &["core", "etcd", "docstore", "kube"];
 
 /// Call names accepted as *handling* an error: metric mutation, retry
-/// scheduling, job/state degradation, responders, logging to the
-/// observability plane, or explicit re-wrapping.
+/// scheduling, job/state degradation, responders, or explicit
+/// re-wrapping.
 const HANDLERS: &[&str] = &[
     "inc",
     "inc_by",
@@ -37,7 +37,6 @@ const HANDLERS: &[&str] = &[
     "observe_duration_us",
     "set_gauge",
     "add_gauge",
-    "record",
     "schedule_in",
     "schedule_at",
     "err",

@@ -39,3 +39,14 @@ pub fn suppressed_swallow(sim: &mut Sim) {
         Err(_) => {}
     }
 }
+
+// A string trace is not an observability plane: recording the error
+// and moving on still swallows it.
+pub fn traced_swallow(sim: &mut Sim, ctx: &ProcessCtx) {
+    match probe(sim) {
+        Ok(v) => apply(v),
+        Err(e) => {
+            ctx.record(sim, e);
+        }
+    }
+}

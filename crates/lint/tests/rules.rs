@@ -265,6 +265,7 @@ fn error_sink_rules() {
             ("discarded-result", 6),
             ("swallowed-error", 12),
             ("swallowed-error", 16),
+            ("swallowed-error", 48),
         ]
     );
     assert_eq!(

@@ -17,15 +17,19 @@
 //! ```
 //! use dlaas_net::{Addr, LatencyModel, Net};
 //! use dlaas_sim::Sim;
+//! use std::{cell::RefCell, rc::Rc};
 //!
 //! let mut sim = Sim::new(0);
 //! let net: Net<&'static str> = Net::new(&mut sim, LatencyModel::datacenter());
-//! net.register(Addr::new("api"), |sim, env| {
-//!     sim.record("api", format!("got {} from {}", env.msg, env.from));
+//! let got = Rc::new(RefCell::new(Vec::new()));
+//! let g = got.clone();
+//! net.register(Addr::new("api"), move |_, env| {
+//!     g.borrow_mut().push(format!("got {} from {}", env.msg, env.from));
 //! });
 //! net.send(&mut sim, Addr::new("client"), Addr::new("api"), "submit");
 //! sim.run_until_idle();
 //! assert_eq!(net.stats().delivered, 1);
+//! assert_eq!(*got.borrow(), ["got submit from client"]);
 //! ```
 
 #![forbid(unsafe_code)]

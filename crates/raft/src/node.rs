@@ -385,8 +385,6 @@ impl<C: Clone + 'static> Raft<C> {
         for r in reads {
             (r.done)(sim, false);
         }
-        let id = self.id();
-        sim.record(format!("raft-{id}"), "crashed");
     }
 
     /// Restarts a crashed node with a fresh replicated-state-machine apply
@@ -413,8 +411,6 @@ impl<C: Clone + 'static> Raft<C> {
         self.restore_from_disk_snapshot(sim);
         self.net.set_up(&self.addr, true);
         self.reset_election_timer(sim);
-        let id = self.id();
-        sim.record(format!("raft-{id}"), "restarted");
     }
 
     // ------------------------------------------------------------------
@@ -478,10 +474,6 @@ impl<C: Clone + 'static> Raft<C> {
             s.leader_hint = None;
             (s.id, term, li, lt, s.others().collect::<Vec<_>>())
         };
-        sim.record(
-            format!("raft-{id}"),
-            format!("starting election for term {term}"),
-        );
         for p in peers {
             self.net.send(
                 sim,
@@ -512,7 +504,7 @@ impl<C: Clone + 'static> Raft<C> {
     }
 
     fn become_leader(&self, sim: &mut Sim) {
-        let (id, term, gen) = {
+        let gen = {
             let mut s = self.inner.borrow_mut();
             s.role = Role::Leader;
             s.terms_led += 1;
@@ -532,12 +524,8 @@ impl<C: Clone + 'static> Raft<C> {
             s.disk.borrow_mut().log.push(LogEntry { term, cmd: noop });
             let new_last = s.disk.borrow().last_index();
             s.match_index.insert(me, new_last);
-            (s.id, term, s.hb_gen)
+            s.hb_gen
         };
-        sim.record(
-            format!("raft-{id}"),
-            format!("became leader of term {term}"),
-        );
         self.broadcast_append(sim);
         self.maybe_advance_commit(sim);
         self.schedule_heartbeat(sim, gen);
@@ -697,13 +685,13 @@ impl<C: Clone + 'static> Raft<C> {
                 }
             }
         }
-        self.maybe_compact(sim);
+        self.maybe_compact();
         self.check_reads(sim);
     }
 
     /// Folds the applied prefix into a snapshot once it exceeds the
     /// configured threshold (no-op without hooks or with threshold 0).
-    fn maybe_compact(&self, sim: &mut Sim) {
+    fn maybe_compact(&self) {
         let (due, upto) = {
             let s = self.inner.borrow();
             let threshold = s.config.compact_threshold as u64;
@@ -724,18 +712,7 @@ impl<C: Clone + 'static> Raft<C> {
             let hooks = s.hooks.as_ref().expect("checked above");
             (hooks.take)()
         };
-        let compacted = {
-            let s = self.inner.borrow();
-            let mut disk = s.disk.borrow_mut();
-            disk.compact(upto, data)
-        };
-        if compacted {
-            let id = self.id();
-            sim.record(
-                format!("raft-{id}"),
-                format!("compacted log through {upto}"),
-            );
-        }
+        self.inner.borrow().disk.borrow_mut().compact(upto, data);
     }
 
     fn check_reads(&self, sim: &mut Sim) {
@@ -860,11 +837,6 @@ impl<C: Clone + 'static> Raft<C> {
                 (h.restore)(sim, acked, &snapshot.data);
             }
             self.inner.borrow_mut().hooks = hooks;
-            let id = self.id();
-            sim.record(
-                format!("raft-{id}"),
-                format!("installed snapshot through index {acked}"),
-            );
             // Catch up anything committed above the snapshot next round.
             self.apply_committed(sim);
         }

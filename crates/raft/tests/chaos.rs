@@ -59,7 +59,6 @@ struct Harness {
 impl Harness {
     fn new(seed: u64, n: u32) -> Self {
         let mut sim = Sim::new(seed);
-        sim.trace_mut().set_enabled(false);
         let applied: AppliedLog = Rc::new(RefCell::new(BTreeMap::new()));
         let a = applied.clone();
         let factory: dlaas_raft::ApplyFactory<Cmd> = Rc::new(move |id| {

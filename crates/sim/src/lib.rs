@@ -8,13 +8,12 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-microsecond simulated time,
 //! * [`Sim`] — the event loop: schedule closures at future instants,
-//! * [`SimRng`] — seeded, forkable randomness (one seed ⇒ one execution),
-//! * [`Trace`] — a structured log that tests and harnesses assert on.
+//! * [`SimRng`] — seeded, forkable randomness (one seed ⇒ one execution).
 //!
 //! # Examples
 //!
 //! ```
-//! use dlaas_sim::{Sim, SimDuration};
+//! use dlaas_sim::{Sim, SimDuration, SimTime};
 //! use std::{cell::Cell, rc::Rc};
 //!
 //! let mut sim = Sim::new(7);
@@ -23,13 +22,12 @@
 //! // A tiny "service" that processes a request 10ms after receiving it.
 //! let d = done.clone();
 //! sim.schedule_in(SimDuration::from_millis(10), move |sim| {
-//!     sim.record("service", "request processed");
 //!     d.set(d.get() + 1);
 //! });
 //!
 //! sim.run_until_idle();
 //! assert_eq!(done.get(), 1);
-//! assert!(sim.trace().first_containing("processed").is_some());
+//! assert_eq!(sim.now(), SimTime::from_millis(10));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,12 +37,10 @@
 mod kernel;
 mod rng;
 mod time;
-mod trace;
 
 pub use kernel::{every, EventId, Sim, TimerHandle};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent};
 
 // Re-exported so downstream crates can instrument through `sim.metrics()`
 // without adding their own dependency on the metrics crate.

@@ -15,9 +15,6 @@ use dlaas_sim::{Sim, SimDuration};
 fn main() {
     banner("booting the platform");
     let mut sim = Sim::new(1337);
-    // Keep only a sliding window of trace records: the story at the end
-    // is told from dlaas-obs metrics, not from raw trace lines.
-    sim.trace_mut().set_capacity(Some(512));
     let platform = DlaasPlatform::bootstrapped(&mut sim);
     platform
         .add_tenant(&Tenant::new("acme", "acme-key", 64))
@@ -59,10 +56,8 @@ fn main() {
     banner("letting the monkey rampage for 20 simulated minutes");
     sim.run_for(SimDuration::from_mins(20));
     println!(
-        "pod restarts so far: {} (trace window holds {} records, {} evicted)",
+        "pod restarts so far: {}",
         sim.metrics().counter_total("kube_pod_restarts_total"),
-        sim.trace().len(),
-        sim.trace().dropped(),
     );
 
     banner("calling the monkey off and waiting for every job to finish");

@@ -16,7 +16,6 @@ use dlaas_sim::{Sim, SimDuration};
 fn main() {
     banner("booting a platform with 5 P100 nodes (one spare for fail-over)");
     let mut sim = Sim::new(7);
-    sim.trace_mut().set_enabled(false);
     let cfg = PlatformConfig {
         gpu_nodes: vec![GpuNodeSpec {
             kind: GpuKind::P100Pcie,

@@ -28,7 +28,6 @@ fn manifest(name: &str, tenant: &str, gpus: u32, iters: u64) -> TrainingManifest
 fn main() {
     banner("booting a shared platform for three tenants");
     let mut sim = Sim::new(11);
-    sim.trace_mut().set_enabled(false);
     let platform = DlaasPlatform::bootstrapped(&mut sim);
     for (tenant, quota) in [("acme", 4u32), ("globex", 2), ("initech", 8)] {
         platform

@@ -36,7 +36,7 @@ fn guardian_aborts_incarnation_until_attempts_write_is_durable() {
     // Stall every Mongo write before the Guardian's first boot (the
     // LCM has not scheduled it yet at ACK time). Each boot in this
     // window must fail fast instead of deploying unrecorded.
-    platform.set_mongo_write_failures(&mut sim, true);
+    platform.set_mongo_write_failures(true);
     sim.run_for(SimDuration::from_secs(20));
     let attempts_during = platform
         .job_document(&job)
@@ -47,7 +47,7 @@ fn guardian_aborts_incarnation_until_attempts_write_is_durable() {
         "no attempt may be consumed while the record cannot be made durable"
     );
 
-    platform.set_mongo_write_failures(&mut sim, false);
+    platform.set_mongo_write_failures(false);
     let end = platform.wait_for_status(
         &mut sim,
         &job,
@@ -203,7 +203,6 @@ fn learner_completion_markers_survive_nfs_outage() {
     when(
         &mut sim,
         SimDuration::from_millis(200),
-        "NFS outage at learner finish",
         move |_sim| p2.job_info(&j2).is_some_and(|i| i.iteration + 8 >= iters),
         move |sim| nfs_outage_window(sim, p3.nfs(), SimDuration::from_secs(30)),
     );
@@ -337,7 +336,6 @@ fn crashed_shard_owner_is_replaced_within_the_takeover_bound() {
     when(
         &mut sim,
         SimDuration::from_millis(200),
-        "crash shard owner at DEPLOYING",
         move |_| p2.job_status(&j2) == Some(JobStatus::Deploying),
         move |sim| {
             let owner = shard_owner(&p3, shard).unwrap_or_else(|| "dlaas-lcm-0".into());

@@ -9,7 +9,6 @@ use dlaas_sim::{Sim, SimDuration};
 
 fn big_platform(seed: u64) -> (Sim, DlaasPlatform) {
     let mut sim = Sim::new(seed);
-    sim.trace_mut().set_enabled(false);
     let cfg = PlatformConfig {
         core_nodes: 4,
         gpu_nodes: vec![GpuNodeSpec {
@@ -205,7 +204,6 @@ fn rolling_restart_of_api_tier_keeps_service_available() {
 #[test]
 fn mixed_gpu_cluster_routes_jobs_to_matching_nodes() {
     let mut sim = Sim::new(103);
-    sim.trace_mut().set_enabled(false);
     let cfg = PlatformConfig {
         gpu_nodes: vec![
             GpuNodeSpec {
